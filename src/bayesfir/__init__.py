@@ -2,33 +2,21 @@
 
 Impulse responses are estimated under a TC (tuned/correlated) kernel prior
 whose hyperparameters are adapted online: each arriving data batch triggers
-exactly one marginal-likelihood optimization step, so the per-batch cost is
+exactly one marginal-likelihood optimization step, so the per-batch work is
 independent of stream length.
 """
 
 from .estimator import EstimateSnapshot, OnlineEstimator
-from .kernel import (
-    Hyperparameters,
-    KernelMatrix,
-    NotPositiveDefiniteError,
-    build_tc_kernel,
-    chol_logdet_solve,
-    kernel_dbeta,
-)
+from .kernel import Hyperparameters, NotPositiveDefiniteError
 from .likelihood import (
-    GradientSplit,
     MLContext,
     NonFiniteLikelihoodError,
-    PosteriorMoments,
     grad_neg_log_ml,
     neg_log_ml,
     posterior_moments,
 )
 from .optim import (
-    METHODS,
     OptimizerConfig,
-    OptimizerState,
-    StepReport,
     bb_stepsize,
     bfgs_update,
     em1_lambda,
@@ -41,7 +29,6 @@ from .optim import (
 )
 from .simgen import (
     ExperimentConfig,
-    TrueSystem,
     bandlimited_input,
     fit,
     random_system,

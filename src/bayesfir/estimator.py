@@ -14,10 +14,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .kernel import Hyperparameters
-from .likelihood import MLContext, posterior_moments
+from .likelihood import MLContext, posterior_mean
 from .optim import (
     GRADIENT_METHODS,
     METHODS,
@@ -30,14 +29,11 @@ from .optim import (
 )
 from .stats import (
     Batch,
-    IllConditionedUpdateError,
     NOISE_FLOOR,
     SufficientStats,
     ingest,
     ls_estimate,
     noise_variance,
-    regressor_rows,
-    sherman_morrison_inverse_update,
 )
 
 BETA0 = 0.9  # initial kernel decay before the warmup optimization
@@ -59,6 +55,13 @@ class EstimateSnapshot:
 class OnlineEstimator:
     """Streaming FIR estimator with one-step hyperparameter adaptation.
 
+    Every batch, single samples included, takes the same path: ingest, the
+    ridge-guarded least squares of ``stats.ls_estimate`` for the noise
+    variance, one hyperparameter update, and the posterior mean.  The
+    likelihood evaluations behind the update factor only an n-by-n inner
+    matrix built from the TC kernel's closed-form square root; the kernel
+    itself and the posterior covariance are never formed.
+
     Parameters
     ----------
     n : FIR order (number of impulse-response taps).
@@ -67,8 +70,6 @@ class OnlineEstimator:
         chosen updater to convergence on every batch (the reference baseline).
     lambda_only : freeze beta and adapt lam alone (implied by em1/em2).
     config : optimizer constants; defaults match OptimizerConfig.
-    use_sherman_morrison : maintain an inverse of R across single-sample
-        batches via rank-one updates instead of refactorizing.
     """
 
     def __init__(
@@ -78,7 +79,6 @@ class OnlineEstimator:
         mode: str = "onestep",
         lambda_only: bool = False,
         config: OptimizerConfig = None,
-        use_sherman_morrison: bool = True,
     ):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -91,12 +91,10 @@ class OnlineEstimator:
         self.mode = mode
         self.lambda_only = bool(lambda_only) or method in ("em1", "em2")
         self.config = config or OptimizerConfig()
-        self.use_sherman_morrison = bool(use_sherman_morrison)
         self._stats = None
         self._eta = None
         self._sigma2 = None
         self._opt_state = None
-        self._rinv = None
         self._batch_index = 0
         self._snapshot = None
 
@@ -139,29 +137,8 @@ class OnlineEstimator:
         self._eta = eta
         self._sigma2 = sigma2
         self._opt_state = state
-        self._rinv = None
         self._batch_index = 0
         self._snapshot = None
-
-    def _least_squares(self, batch: Batch, new_stats: SufficientStats):
-        """(h_ls, rinv) with a rank-one inverse update for single-sample batches."""
-        rinv_new = None
-        if self.use_sherman_morrison and len(batch) == 1:
-            if self._rinv is not None:
-                row = regressor_rows(batch.u, self._stats.history, self.n)[0]
-                try:
-                    rinv_new = sherman_morrison_inverse_update(self._rinv, row)
-                    return rinv_new @ new_stats.ytilde, rinv_new
-                except IllConditionedUpdateError:
-                    rinv_new = None
-            h_ls = ls_estimate(new_stats)
-            try:
-                cho = sla.cho_factor(new_stats.R, lower=True)
-                rinv_new = sla.cho_solve(cho, np.eye(self.n))
-            except (sla.LinAlgError, ValueError):
-                rinv_new = None
-            return h_ls, rinv_new
-        return ls_estimate(new_stats), None
 
     def process_batch(self, u, y) -> EstimateSnapshot:
         """Fold one batch in and return the refreshed estimate.
@@ -174,8 +151,7 @@ class OnlineEstimator:
         start = time.perf_counter()
         batch = Batch(u, y)
         new_stats = ingest(self._stats, batch)
-        h_ls, rinv_new = self._least_squares(batch, new_stats)
-        sigma2 = self._noise(new_stats, h_ls)
+        sigma2 = self._noise(new_stats, ls_estimate(new_stats))
         ctx = MLContext(new_stats, sigma2)
 
         state_new = self._opt_state
@@ -199,14 +175,13 @@ class OnlineEstimator:
                 ctx, self._eta, self.method, self.config, need_ml=False
             ).eta_new
 
-        h = posterior_moments(ctx, eta_new).mean
+        h = posterior_mean(ctx, eta_new)
         elapsed = time.perf_counter() - start
 
         self._stats = new_stats
         self._eta = eta_new
         self._sigma2 = sigma2
         self._opt_state = state_new
-        self._rinv = rinv_new
         self._batch_index += 1
         self._snapshot = EstimateSnapshot(
             h=h,

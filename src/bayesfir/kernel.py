@@ -1,4 +1,4 @@
-"""Tuned/correlated (TC) kernel matrices used as FIR impulse-response priors.
+"""Tuned/correlated (TC) kernel structure used as FIR impulse-response priors.
 
 The kernel over tap indices i, j = 1..n is
 
@@ -6,9 +6,15 @@ The kernel over tap indices i, j = 1..n is
 
 which encodes exponentially decaying, positively correlated impulse
 responses.  ``lam`` scales the prior variance and ``beta`` controls the
-decay rate.  The feasible box is lam >= 0, 0 <= beta <= 1; on the
-boundary the matrix is only positive semidefinite, so a semidefinite
-square-root factorization is provided alongside the strict Cholesky.
+decay rate.  The feasible box is lam >= 0, 0 <= beta <= 1.
+
+The kernel is never formed.  With U the upper-triangular all-ones matrix,
+
+    K = lam * U diag(c) U',   c_m = beta**m (1 - beta) (m < n),  c_n = beta**n,
+
+and every c_m >= 0, so U diag(sqrt(lam * c)) is an exact square root on the
+whole closed box, boundary included (Chen & Ljung, Automatica 2013).  Its
+beta-derivative and the exactly tridiagonal inverse are closed-form too.
 """
 
 from __future__ import annotations
@@ -16,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Matrix has no strictly positive definite Cholesky factorization."""
+    """Unit kernel is singular, so its inverse and log-determinant do not exist."""
 
 
 @dataclass(frozen=True)
@@ -47,92 +52,6 @@ class Hyperparameters:
     def from_array(cls, eta) -> "Hyperparameters":
         lam, beta = np.asarray(eta, dtype=float)
         return cls(lam, beta)
-
-
-@dataclass
-class CholeskyFactor:
-    """Lower Cholesky factor with log-determinant and linear solves."""
-
-    lower: np.ndarray
-
-    @property
-    def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        half = sla.solve_triangular(self.lower, b, lower=True)
-        return sla.solve_triangular(self.lower.T, half, lower=False)
-
-
-class KernelMatrix:
-    """TC kernel Gram matrix together with its (lazily computed) factorization."""
-
-    def __init__(self, n: int, eta: Hyperparameters, entries: np.ndarray):
-        self.n = n
-        self.eta = eta
-        self.entries = entries
-        self._chol = None
-
-    @property
-    def chol(self) -> np.ndarray:
-        """Strict lower Cholesky factor; raises NotPositiveDefiniteError on the box boundary."""
-        if self._chol is None:
-            self._chol = chol_logdet_solve(self.entries).lower
-        return self._chol
-
-    def sqrt_factor(self) -> np.ndarray:
-        """Lower-triangular L with L @ L.T == entries, tolerating semidefinite kernels.
-
-        Boundary hyperparameters (lam = 0 or beta in {0, 1}) yield singular
-        kernels; the marginal likelihood stays finite through L, so no jitter
-        is ever added to the kernel itself.
-        """
-        # A zero diagonal entry (boundary eta or flushed tail) makes plain
-        # Cholesky fail after a near-full factorization; skip the attempt.
-        if np.any(np.diagonal(self.entries) == 0.0):
-            return psd_sqrt_factor(self.entries)
-        try:
-            return self.chol
-        except NotPositiveDefiniteError:
-            return psd_sqrt_factor(self.entries)
-
-
-# Entries this far below the kernel's largest entry are invisible at double
-# precision but keep BLAS kernels in slow subnormal arithmetic; flush to zero.
-TAIL_REL_FLOOR = 1e-150
-
-
-def build_tc_kernel(n: int, eta: Hyperparameters) -> KernelMatrix:
-    """Assemble the n-by-n TC kernel K[i, j] = lam * beta ** max(i, j) (1-based).
-
-    Deeply decayed tail entries (below TAIL_REL_FLOOR relative to the leading
-    lam * beta entry) are flushed to exact zero.  At n = 80 this touches
-    nothing for beta > 0.013, and near the boundary it only removes values
-    whose every downstream contribution underflows anyway.
-    """
-    if n < 1:
-        raise ValueError(f"kernel order must be >= 1, got {n}")
-    idx = np.arange(1, n + 1)
-    m = np.maximum(idx[:, None], idx[None, :])
-    entries = eta.lam * eta.beta ** m
-    top = entries[0, 0]
-    if top > 0.0:
-        entries[entries < top * TAIL_REL_FLOOR] = 0.0
-    return KernelMatrix(n, eta, entries)
-
-
-def kernel_dbeta(n: int, beta: float) -> np.ndarray:
-    """Entrywise derivative of the unit-scale kernel beta ** max(i, j) w.r.t. beta.
-
-    The lam factor is deliberately excluded; callers multiply by lam when
-    differentiating the scaled kernel.
-    """
-    if n < 1:
-        raise ValueError(f"kernel order must be >= 1, got {n}")
-    idx = np.arange(1, n + 1)
-    m = np.maximum(idx[:, None], idx[None, :])
-    # beta ** 0 == 1 also at beta == 0, matching the right-limit convention.
-    return m * beta ** (m - 1)
 
 
 def unit_kernel_inverse_bands(n: int, beta: float):
@@ -183,13 +102,28 @@ def unit_kernel_logdet(n: int, beta: float) -> float:
     return 0.5 * n * (n + 1) * np.log(beta) + (n - 1) * np.log1p(-beta)
 
 
-def dbeta_block_weights(n: int, beta: float) -> np.ndarray:
-    """Weights c with kernel_dbeta(n, beta) == sum_m c[m] * B_m.
+def tc_block_weights(n: int, beta: float) -> np.ndarray:
+    """Weights c >= 0 with the unit-scale kernel beta ** max(i, j) == sum_m c[m] * B_m.
 
     B_m is the rank-one block indicator (ones on the leading m-by-m block),
-    so any matrix a[max(i, j)] splits into sum_m (a_m - a_{m+1}) B_m + a_n B_n.
-    Positive weights collect the positive semidefinite part of the derivative
-    and negative weights the rest, which is what the gradient sign-split needs.
+    i.e. U diag(c) U' with U the upper-triangular all-ones matrix:
+    c[m] = beta**m (1 - beta) for m < n and c[n] = beta**n (1-based).
+    """
+    if n < 1:
+        raise ValueError(f"kernel order must be >= 1, got {n}")
+    powers = beta ** np.arange(1, n + 1, dtype=float)
+    c = powers * (1.0 - beta)
+    c[-1] = powers[-1]
+    return c
+
+
+def dbeta_block_weights(n: int, beta: float) -> np.ndarray:
+    """Beta-derivative of tc_block_weights: d/dbeta beta ** max(i, j) == sum_m c[m] * B_m.
+
+    Any matrix a[max(i, j)] splits into sum_m (a_m - a_{m+1}) B_m + a_n B_n;
+    here a_m = m * beta ** (m - 1).  Positive weights collect the positive
+    semidefinite part of the derivative and negative weights the rest, which
+    is what the gradient sign-split needs.
     """
     m = np.arange(1, n + 1, dtype=float)
     a = m * beta ** (m - 1.0)
@@ -197,32 +131,3 @@ def dbeta_block_weights(n: int, beta: float) -> np.ndarray:
     c[:-1] = a[:-1] - a[1:]
     c[-1] = a[-1]
     return c
-
-
-def chol_logdet_solve(mat: np.ndarray) -> CholeskyFactor:
-    """Factor a symmetric positive definite matrix, exposing logdet and solves."""
-    try:
-        lower = sla.cholesky(mat, lower=True)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    return CholeskyFactor(lower)
-
-
-def psd_sqrt_factor(mat: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Square L with L @ L.T == mat for positive SEMIdefinite mat.
-
-    Pivoted Cholesky (LAPACK dpstrf) with the rows unpermuted afterwards, so
-    L is not triangular in general but the product reconstruction is exact to
-    rounding.  Pivots below rel_tol times the largest diagonal entry are
-    treated as exact zero directions and their columns zeroed.
-    """
-    a = np.array(mat, dtype=float)
-    floor = rel_tol * max(float(np.max(np.diag(a))), 0.0)
-    c, piv, rank, info = sla.lapack.dpstrf(a, lower=1, tol=floor)
-    if info < 0:
-        raise ValueError(f"pivoted Cholesky rejected argument {-info}")
-    lower = np.tril(c)
-    lower[:, rank:] = 0.0
-    out = np.zeros_like(lower)
-    out[piv - 1, :] = lower
-    return out

@@ -2,28 +2,34 @@
 
 All three quantities are functions of the sufficient statistics only, never of
 the raw N-sample data, so each evaluation costs O(n^3) regardless of how much
-data has streamed past.  With K = L L' and S the lower Cholesky factor of
-sigma2 I + L' R L, the negative log marginal likelihood (2 pi constant
-dropped) is
+data has streamed past.  The TC kernel's closed-form square root
+L = U diag(d), d = sqrt(lam * c) (see kernel.tc_block_weights), turns every
+kernel product into a weighting of two per-batch constants:
+
+    L' R L = (d d') * C,   C = U' R U = cumsum(cumsum(R, 0), 1),
+    L' ytilde = d * cumsum(ytilde).
+
+With S the lower Cholesky factor of sigma2 I + (d d') * C, the negative log
+marginal likelihood (2 pi constant dropped) is
 
     L(eta) = (nbar - n) log sigma2 + 2 log det S + (ybar - ||t||^2) / sigma2,
-    t = S^-1 L' ytilde,
+    t = S^-1 (d * cumsum(ytilde)),
 
 which agrees exactly with the dense evaluation y' Sigma^-1 y + log det Sigma,
-Sigma = Phi K Phi' + sigma2 I.  The formula stays finite for semidefinite K
-(lam = 0 gives S = sigma I and the degenerate limit nbar log sigma2
-+ ybar / sigma2).
+Sigma = Phi K Phi' + sigma2 I.  The root is exact on the whole closed box, so
+the formula needs no fallback for semidefinite K (lam = 0 gives S = sigma I
+and the degenerate limit nbar log sigma2 + ybar / sigma2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as sla
 
-from .kernel import Hyperparameters, build_tc_kernel, dbeta_block_weights
+from .kernel import Hyperparameters, dbeta_block_weights, tc_block_weights
 from .stats import SufficientStats
 
 
@@ -33,16 +39,24 @@ class NonFiniteLikelihoodError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MLContext:
-    """Sufficient statistics plus the noise variance the likelihood conditions on."""
+    """Sufficient statistics plus the noise variance the likelihood conditions on.
+
+    Also holds the two per-batch constants every evaluation weights:
+    ``cum_r`` = U' R U and ``cum_y`` = U' ytilde.
+    """
 
     stats: SufficientStats
     sigma2: float
+    cum_r: np.ndarray = field(init=False, repr=False, compare=False)
+    cum_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s2 = float(self.sigma2)
         if not np.isfinite(s2) or s2 <= 0.0:
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         object.__setattr__(self, "sigma2", s2)
+        object.__setattr__(self, "cum_r", np.cumsum(np.cumsum(self.stats.R, axis=0), axis=1))
+        object.__setattr__(self, "cum_y", np.cumsum(self.stats.ytilde))
 
 
 @dataclass(frozen=True)
@@ -68,19 +82,17 @@ class PosteriorMoments(NamedTuple):
 
 
 class _Factors(NamedTuple):
-    lk: np.ndarray  # square-root factor of K, K = lk lk'
-    s: np.ndarray  # lower Cholesky of sigma2 I + lk' R lk
-    t: np.ndarray  # S^-1 lk' ytilde
+    d: np.ndarray  # root weights, K = U diag(d^2) U'
+    s: np.ndarray  # lower Cholesky of sigma2 I + (d d') * cum_r
+    t: np.ndarray  # S^-1 (d * cum_y)
 
 
 def _factorize(ctx: MLContext, eta: Hyperparameters) -> _Factors:
-    stats = ctx.stats
-    kern = build_tc_kernel(stats.n, eta)
-    lk = kern.sqrt_factor()
+    d = np.sqrt(eta.lam * tc_block_weights(ctx.stats.n, eta.beta))
     # overflow at extreme eta is expected while an optimizer probes the box
     # boundary; the non-finite product fails the inner factorization below
     with np.errstate(over="ignore", invalid="ignore"):
-        a = lk.T @ stats.R @ lk
+        a = np.outer(d, d) * ctx.cum_r
     a[np.diag_indices_from(a)] += ctx.sigma2
     try:
         s = sla.cholesky(a, lower=True)
@@ -88,8 +100,14 @@ def _factorize(ctx: MLContext, eta: Hyperparameters) -> _Factors:
         raise NonFiniteLikelihoodError(
             f"inner factor failed at eta=({eta.lam!r}, {eta.beta!r}): {exc}"
         ) from exc
-    t = sla.solve_triangular(s, lk.T @ stats.ytilde, lower=True)
-    return _Factors(lk=lk, s=s, t=t)
+    t = sla.solve_triangular(s, d * ctx.cum_y, lower=True)
+    return _Factors(d=d, s=s, t=t)
+
+
+def _mean(f: _Factors) -> np.ndarray:
+    """Posterior mean L S^-T t = U (d * S^-T t): a reversed cumulative sum, O(n^2) given S."""
+    z = f.d * sla.solve_triangular(f.s, f.t, lower=True, trans="T")
+    return np.cumsum(z[::-1])[::-1]
 
 
 def neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> float:
@@ -107,24 +125,22 @@ def neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> float:
 
 
 def _lambda_split_terms(ctx: MLContext, eta: Hyperparameters, f: _Factors):
-    """(V_lam, U_lam, sinv, v): the lam gradient pieces plus shared factors.
+    """(V_lam, U_lam, q): the lam gradient pieces plus q = U' v.
 
     Uses Tr(Sigma^-1 Phi K_b Phi') = (n - sigma2 ||S^-1||_F^2) / lam, an exact
     consequence of L'RL = SS' - sigma2 I, and the data-side quadratic
-    U_lam = ||lk' v||^2 / lam with v = Phi' Sigma^-1 y, so both pieces are
-    nonnegative by construction.
+    U_lam = ||L' v||^2 / lam = ||d * q||^2 / lam with v = Phi' Sigma^-1 y, so
+    both pieces are nonnegative by construction.
     """
-    stats = ctx.stats
     s2 = ctx.sigma2
-    n = stats.n
+    n = ctx.stats.n
     sinv = sla.solve_triangular(f.s, np.eye(n), lower=True)
     ssq = float(np.sum(sinv * sinv))
     v_lam = max(n - s2 * ssq, 0.0) / eta.lam
-    # P ytilde = sigma2 * W' t with W = S^-1 lk'; v = (ytilde - R P ytilde / sigma2) / sigma2
-    w = sinv @ f.lk.T
-    v = (stats.ytilde - stats.R @ (w.T @ f.t)) / s2
-    u_lam = float(np.sum((f.lk.T @ v) ** 2)) / eta.lam
-    return v_lam, u_lam, sinv, v
+    # v = (ytilde - R h) / sigma2 with h the posterior mean
+    q = np.cumsum(ctx.stats.ytilde - ctx.stats.R @ _mean(f)) / s2
+    u_lam = float(np.sum((f.d * q) ** 2)) / eta.lam
+    return v_lam, u_lam, q
 
 
 def grad_neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> GradientSplit:
@@ -140,20 +156,17 @@ def grad_neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> GradientSplit:
         raise ValueError(
             f"gradient needs interior eta (lam > 0, 0 < beta < 1), got ({eta.lam!r}, {eta.beta!r})"
         )
-    stats = ctx.stats
     s2 = ctx.sigma2
-    n = stats.n
     f = _factorize(ctx, eta)
-    v_lam, u_lam, sinv, v = _lambda_split_terms(ctx, eta, f)
+    v_lam, u_lam, q = _lambda_split_terms(ctx, eta, f)
 
-    # Per-block trace terms Tr(Sigma^-1 Phi B_m Phi') and quadratics (v' B_m v).
-    c = dbeta_block_weights(n, eta.beta)
-    w = sinv @ f.lk.T
-    wr = w @ stats.R
-    block_r = np.cumsum(np.cumsum(stats.R, axis=0), axis=1).diagonal()
-    colsq = (np.cumsum(wr, axis=1) ** 2).sum(axis=0)
-    tv = np.maximum(block_r - colsq, 0.0) / s2
-    tu = np.cumsum(v) ** 2
+    # Per-block trace terms Tr(Sigma^-1 Phi B_m Phi') = (C_mm - ||G e_m||^2) / sigma2
+    # with G = S^-1 L' R U = S^-1 (d * C), and quadratics (v' B_m v) = q_m^2.
+    c = dbeta_block_weights(ctx.stats.n, eta.beta)
+    g = sla.solve_triangular(f.s, f.d[:, None] * ctx.cum_r, lower=True)
+    colsq = np.einsum("ij,ij->j", g, g)
+    tv = np.maximum(ctx.cum_r.diagonal() - colsq, 0.0) / s2
+    tu = q * q
 
     pos = c > 0.0
     cpos = np.where(pos, c, 0.0)
@@ -176,7 +189,7 @@ def grad_lambda_only(ctx: MLContext, eta: Hyperparameters) -> tuple:
             f"gradient needs interior eta (lam > 0, 0 < beta < 1), got ({eta.lam!r}, {eta.beta!r})"
         )
     f = _factorize(ctx, eta)
-    v_lam, u_lam, _, _ = _lambda_split_terms(ctx, eta, f)
+    v_lam, u_lam, _ = _lambda_split_terms(ctx, eta, f)
     if not (np.isfinite(v_lam) and np.isfinite(u_lam)):
         raise NonFiniteLikelihoodError(
             f"non-finite gradient at eta=({eta.lam!r}, {eta.beta!r})"
@@ -184,14 +197,21 @@ def grad_lambda_only(ctx: MLContext, eta: Hyperparameters) -> tuple:
     return v_lam, u_lam
 
 
-def posterior_moments(ctx: MLContext, eta: Hyperparameters) -> PosteriorMoments:
-    """Posterior mean (R + sigma2 K^-1)^-1 ytilde and covariance (R/sigma2 + K^-1)^-1.
+def posterior_mean(ctx: MLContext, eta: Hyperparameters) -> np.ndarray:
+    """Posterior mean (R + sigma2 K^-1)^-1 ytilde; zero at lam = 0."""
+    return _mean(_factorize(ctx, eta))
 
-    Evaluated through the square-root factor of K, so lam = 0 cleanly returns
-    the degenerate prior's answer: zero mean and zero covariance.
+
+def posterior_moments(ctx: MLContext, eta: Hyperparameters) -> PosteriorMoments:
+    """Posterior mean and covariance (R/sigma2 + K^-1)^-1.
+
+    Evaluated through the square root of K, so lam = 0 cleanly returns the
+    degenerate prior's answer: zero mean and zero covariance.  The covariance
+    costs O(n^3); callers that need the mean alone use posterior_mean.
     """
     f = _factorize(ctx, eta)
-    w = sla.solve_triangular(f.s, f.lk.T, lower=True)
-    mean = w.T @ f.t
-    cov = ctx.sigma2 * (w.T @ w)
-    return PosteriorMoments(mean=mean, cov=cov)
+    # W = S^-1 L' = S^-1 diag(d) U': scale the columns of S^-1, then U' on the
+    # right is a reversed cumulative sum along each row
+    w = sla.solve_triangular(f.s, np.diag(f.d), lower=True)
+    w = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    return PosteriorMoments(mean=_mean(f), cov=ctx.sigma2 * (w.T @ w))

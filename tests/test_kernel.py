@@ -1,24 +1,37 @@
-"""Kernel construction, beta-derivative, and factorization paths."""
+"""Closed-form TC kernel structure: root weights, beta-derivative, tridiagonal inverse."""
 
 import numpy as np
 import pytest
 
-from bayesfir import Hyperparameters, NotPositiveDefiniteError, build_tc_kernel
+from bayesfir import Hyperparameters, NotPositiveDefiniteError, neg_log_ml
 from bayesfir.kernel import (
-    TAIL_REL_FLOOR,
-    chol_logdet_solve,
     dbeta_block_weights,
-    kernel_dbeta,
-    psd_sqrt_factor,
+    tc_block_weights,
     unit_kernel_inverse_bands,
     unit_kernel_logdet,
 )
 
-from oracles import central_diff, dense_tc_kernel
+from oracles import central_diff, dense_neg_log_ml, dense_tc_kernel, random_instance
+
+
+def root(n, lam, beta):
+    """Square root U diag(d) of the kernel, U the upper-triangular all-ones matrix."""
+    return np.triu(np.ones((n, n))) * np.sqrt(lam * tc_block_weights(n, beta))
+
+
+def block_sum(c):
+    """sum_m c[m] * B_m with B_m the leading m-by-m block of ones."""
+    n = len(c)
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = float(np.sum(c[max(i, j):]))
+    return out
 
 
 def test_tc_kernel_hand_computed_entries():
-    kern = build_tc_kernel(3, Hyperparameters(2.0, 0.5))
+    np.testing.assert_array_equal(tc_block_weights(3, 0.5), [0.25, 0.125, 0.125])
+    lk = root(3, 2.0, 0.5)
     expected = np.array(
         [
             [1.0, 0.5, 0.25],
@@ -26,29 +39,35 @@ def test_tc_kernel_hand_computed_entries():
             [0.25, 0.25, 0.25],
         ]
     )
-    np.testing.assert_array_equal(kern.entries, expected)
+    np.testing.assert_allclose(lk @ lk.T, expected, rtol=1e-15)
 
 
 def test_tc_kernel_matches_double_loop():
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        n = int(rng.integers(1, 12))
-        lam = float(10.0 ** rng.uniform(-3, 3))
-        beta = float(rng.uniform(0.05, 0.99))
-        kern = build_tc_kernel(n, Hyperparameters(lam, beta))
-        np.testing.assert_allclose(kern.entries, dense_tc_kernel(n, lam, beta), rtol=1e-14)
+    cases = [(float(10.0 ** rng.uniform(-3, 3)), float(rng.uniform(0.05, 0.99))) for _ in range(5)]
+    cases += [(3.0, 0.5), (2.0, 0.004), (0.0, 0.5), (2.0, 0.0), (2.0, 1.0)]
+    for n in (1, 2, 9, 80):
+        for lam, beta in cases:
+            lk = root(n, lam, beta)
+            dense = dense_tc_kernel(n, lam, beta)
+            np.testing.assert_allclose(lk @ lk.T, dense, rtol=1e-12, atol=0.0)
 
 
 def test_tc_kernel_boundaries():
-    np.testing.assert_array_equal(build_tc_kernel(4, Hyperparameters(0.0, 0.5)).entries, np.zeros((4, 4)))
-    np.testing.assert_array_equal(build_tc_kernel(4, Hyperparameters(3.0, 0.0)).entries, np.zeros((4, 4)))
-    ones = build_tc_kernel(3, Hyperparameters(2.0, 1.0)).entries
-    np.testing.assert_array_equal(ones, 2.0 * np.ones((3, 3)))
+    np.testing.assert_array_equal(tc_block_weights(4, 0.0), np.zeros(4))
+    np.testing.assert_array_equal(tc_block_weights(3, 1.0), [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(root(4, 0.0, 0.5), np.zeros((4, 4)))
+    np.testing.assert_array_equal(root(4, 3.0, 0.0), np.zeros((4, 4)))
+    lk = root(3, 2.0, 1.0)
+    np.testing.assert_allclose(lk @ lk.T, 2.0 * np.ones((3, 3)), rtol=1e-15)
+    # every weight is nonnegative on the closed box, so the root is real
+    for beta in np.linspace(0.0, 1.0, 41):
+        assert np.all(tc_block_weights(12, beta) >= 0.0)
 
 
 def test_tc_kernel_rejects_bad_order():
     with pytest.raises(ValueError):
-        build_tc_kernel(0, Hyperparameters(1.0, 0.5))
+        tc_block_weights(0, 0.5)
 
 
 def test_hyperparameter_validation():
@@ -65,16 +84,20 @@ def test_hyperparameter_array_round_trip():
 
 def test_scale_linearity_is_exact():
     for beta in (0.2, 0.7, 0.95):
-        unit = build_tc_kernel(9, Hyperparameters(1.0, beta)).entries
-        scaled = build_tc_kernel(9, Hyperparameters(4.75, beta)).entries
-        np.testing.assert_array_equal(scaled, 4.75 * unit)
+        unit = root(9, 1.0, beta)
+        # a power-of-two scale is exact in floating point, any other to rounding
+        np.testing.assert_array_equal(root(9, 4.0, beta), 2.0 * unit)
+        np.testing.assert_allclose(root(9, 4.75, beta), np.sqrt(4.75) * unit, rtol=1e-15)
 
 
 def test_dbeta_hand_computed():
-    np.testing.assert_array_equal(kernel_dbeta(2, 0.5), np.array([[1.0, 1.0], [1.0, 1.0]]))
-    np.testing.assert_array_equal(kernel_dbeta(1, 1.0), np.array([[1.0]]))
+    np.testing.assert_array_equal(dbeta_block_weights(2, 0.5), [0.0, 1.0])
+    np.testing.assert_array_equal(block_sum(dbeta_block_weights(2, 0.5)), np.ones((2, 2)))
+    np.testing.assert_array_equal(dbeta_block_weights(1, 1.0), [1.0])
     # right-limit at beta = 0: only the (1, 1) entry survives
-    np.testing.assert_array_equal(kernel_dbeta(2, 0.0), np.array([[1.0, 0.0], [0.0, 0.0]]))
+    np.testing.assert_array_equal(
+        block_sum(dbeta_block_weights(2, 0.0)), np.array([[1.0, 0.0], [0.0, 0.0]])
+    )
 
 
 def test_dbeta_matches_finite_differences():
@@ -83,74 +106,40 @@ def test_dbeta_matches_finite_differences():
         n = int(rng.integers(1, 9))
         beta = float(rng.uniform(0.1, 0.9))
         fd = central_diff(lambda b: dense_tc_kernel(n, 1.0, b), beta, 1e-6)
-        np.testing.assert_allclose(kernel_dbeta(n, beta), fd, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(block_sum(dbeta_block_weights(n, beta)), fd, rtol=1e-6, atol=1e-7)
 
 
 def test_dbeta_block_weights_reconstruct_derivative():
-    # suffix sums of the block weights recover the derivative entries
+    # the derivative weights are the beta-derivative of the root weights, and
+    # their suffix sums recover d/dbeta beta**max(i, j) = max(i, j) beta**(max(i, j) - 1)
     for n, beta in [(1, 0.5), (3, 0.2), (8, 0.9)]:
         c = dbeta_block_weights(n, beta)
-        dense = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                dense[i, j] = float(np.sum(c[max(i, j):]))
-        np.testing.assert_allclose(dense, kernel_dbeta(n, beta), rtol=1e-12, atol=1e-15)
-
-
-def test_chol_logdet_solve_on_diagonal_matrix():
-    f = chol_logdet_solve(4.0 * np.eye(2))
-    np.testing.assert_allclose(f.lower, 2.0 * np.eye(2))
-    assert abs(f.logdet - 4.0 * np.log(2.0)) < 1e-14
-    np.testing.assert_allclose(f.solve(np.array([8.0, 4.0])), [2.0, 1.0])
-
-
-def test_chol_matches_and_solves():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        n = int(rng.integers(1, 10))
-        kern = build_tc_kernel(n, Hyperparameters(float(10.0 ** rng.uniform(-2, 2)), float(rng.uniform(0.2, 0.95))))
-        lower = kern.chol
-        np.testing.assert_allclose(lower @ lower.T, kern.entries, rtol=1e-10, atol=1e-14)
-        f = chol_logdet_solve(kern.entries)
-        b = rng.standard_normal(n)
-        np.testing.assert_allclose(f.solve(b), np.linalg.solve(kern.entries, b), rtol=1e-8, atol=1e-10)
-        sign, ld = np.linalg.slogdet(kern.entries)
-        assert abs(f.logdet - ld) < 1e-8 * (1.0 + abs(ld))
-
-
-def test_chol_rejects_singular_kernels():
-    with pytest.raises(NotPositiveDefiniteError):
-        chol_logdet_solve(np.zeros((3, 3)))
-    with pytest.raises(NotPositiveDefiniteError):
-        _ = build_tc_kernel(3, Hyperparameters(0.0, 0.5)).chol
-    with pytest.raises(NotPositiveDefiniteError):
-        _ = build_tc_kernel(3, Hyperparameters(2.0, 1.0)).chol  # rank one
+        fd = central_diff(lambda b: tc_block_weights(n, b), beta, 1e-6)
+        np.testing.assert_allclose(c, fd, rtol=1e-7, atol=1e-9)
+        m = np.maximum.outer(np.arange(1, n + 1), np.arange(1, n + 1))
+        np.testing.assert_allclose(block_sum(c), m * beta ** (m - 1.0), rtol=1e-12, atol=1e-15)
 
 
 def test_psd_sqrt_factor_reconstructs():
+    # the closed-form root is exact for positive definite and semidefinite kernels alike
     rng = np.random.default_rng(5)
-    # positive definite
-    a = rng.standard_normal((6, 6))
-    spd = a @ a.T + 6.0 * np.eye(6)
-    lk = psd_sqrt_factor(spd)
-    np.testing.assert_allclose(lk @ lk.T, spd, rtol=1e-10, atol=1e-10)
-    # rank deficient
-    b = rng.standard_normal((6, 3))
-    sing = b @ b.T
-    lk = psd_sqrt_factor(sing)
-    np.testing.assert_allclose(lk @ lk.T, sing, atol=1e-10 * np.max(np.abs(sing)))
-    # exactly zero
-    np.testing.assert_array_equal(psd_sqrt_factor(np.zeros((4, 4))), np.zeros((4, 4)))
+    for _ in range(20):
+        n = int(rng.integers(1, 12))
+        lam = float(10.0 ** rng.uniform(-2, 2))
+        beta = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+        lk = root(n, lam, beta)
+        dense = dense_tc_kernel(n, lam, beta)
+        assert np.max(np.abs(lk @ lk.T - dense)) <= 1e-14 * lam
 
 
 def test_sqrt_factor_interior_and_boundary():
-    interior = build_tc_kernel(5, Hyperparameters(2.0, 0.6))
-    np.testing.assert_array_equal(interior.sqrt_factor(), interior.chol)
-    rank_one = build_tc_kernel(5, Hyperparameters(2.0, 1.0))
-    lk = rank_one.sqrt_factor()
-    np.testing.assert_allclose(lk @ lk.T, rank_one.entries, atol=1e-12 * 2.0)
-    zero = build_tc_kernel(5, Hyperparameters(0.0, 0.5))
-    np.testing.assert_array_equal(zero.sqrt_factor(), np.zeros((5, 5)))
+    interior = root(5, 2.0, 0.6)
+    assert np.linalg.matrix_rank(interior) == 5
+    np.testing.assert_allclose(interior @ interior.T, dense_tc_kernel(5, 2.0, 0.6), rtol=1e-14)
+    rank_one = root(5, 2.0, 1.0)
+    assert np.linalg.matrix_rank(rank_one) == 1
+    np.testing.assert_allclose(rank_one @ rank_one.T, dense_tc_kernel(5, 2.0, 1.0), atol=1e-12 * 2.0)
+    np.testing.assert_array_equal(root(5, 0.0, 0.5), np.zeros((5, 5)))
 
 
 def test_unit_inverse_bands_match_dense_inverse():
@@ -194,20 +183,14 @@ def test_unit_logdet_matches_dense():
         unit_kernel_logdet(3, 0.0)
 
 
-def test_tail_flush_touches_nothing_for_moderate_decay():
-    kern = build_tc_kernel(80, Hyperparameters(3.0, 0.5))
-    assert np.all(kern.entries > 0.0)
-    np.testing.assert_allclose(kern.entries, dense_tc_kernel(80, 3.0, 0.5), rtol=1e-14)
-
-
-def test_tail_flush_zeroes_invisible_entries_and_still_factors():
+def test_deep_decay_matches_dense_oracles():
+    # beta**m spans hundreds of decades at n = 80; the root stays exact and the
+    # likelihood matches the dense evaluation down to beta**n underflowing
     lam, beta, n = 2.0, 0.004, 80
-    kern = build_tc_kernel(n, Hyperparameters(lam, beta))
-    top = lam * beta
-    dense = dense_tc_kernel(n, lam, beta)
-    zeroed = kern.entries == 0.0
-    assert np.any(zeroed)
-    assert np.all(dense[zeroed] < top * TAIL_REL_FLOOR * (1.0 + 1e-12))
-    np.testing.assert_allclose(kern.entries[~zeroed], dense[~zeroed], rtol=1e-12)
-    lk = kern.sqrt_factor()
-    assert np.max(np.abs(lk @ lk.T - kern.entries)) < 1e-12 * top
+    lk = root(n, lam, beta)
+    np.testing.assert_allclose(lk @ lk.T, dense_tc_kernel(n, lam, beta), rtol=1e-12, atol=0.0)
+    rng = np.random.default_rng(43)
+    ctx, u, y = random_instance(rng, n, 2 * n)
+    for beta in (0.004, 1e-5, 1e-9):
+        direct = dense_neg_log_ml(u, y, n, lam, beta, ctx.sigma2)
+        assert abs(neg_log_ml(ctx, Hyperparameters(lam, beta)) - direct) < 1e-10 * (1.0 + abs(direct))
