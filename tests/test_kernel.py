@@ -183,6 +183,15 @@ def test_unit_logdet_matches_dense():
         unit_kernel_logdet(3, 0.0)
 
 
+def test_tail_flush_touches_nothing_for_moderate_decay():
+    # no small kernel entry is flushed to zero: the closed-form root reproduces
+    # every entry of the n = 80, beta = 0.5 kernel, the smallest near 0.5**80
+    lk = root(80, 3.0, 0.5)
+    kern = lk @ lk.T
+    assert np.all(kern > 0.0)
+    np.testing.assert_allclose(kern, dense_tc_kernel(80, 3.0, 0.5), rtol=1e-14)
+
+
 def test_deep_decay_matches_dense_oracles():
     # beta**m spans hundreds of decades at n = 80; the root stays exact and the
     # likelihood matches the dense evaluation down to beta**n underflowing
