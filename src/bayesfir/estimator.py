@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Hyperparameters
-from .likelihood import MLContext, posterior_mean
+from .likelihood import MLContext, _mean, posterior_mean
 from .optim import (
     GRADIENT_METHODS,
     METHODS,
@@ -60,7 +60,9 @@ class OnlineEstimator:
     variance, one hyperparameter update, and the posterior mean.  The
     likelihood evaluations behind the update factor only an n-by-n inner
     matrix built from the TC kernel's closed-form square root; the kernel
-    itself and the posterior covariance are never formed.
+    itself and the posterior covariance are never formed.  A gradient step
+    hands back the factor at its new eta, so the mean costs no further
+    factorization.
 
     Parameters
     ----------
@@ -155,6 +157,7 @@ class OnlineEstimator:
         ctx = MLContext(new_stats, sigma2)
 
         state_new = self._opt_state
+        factors = None
         if self.mode == "opt":
             # The full-optimization baseline restarts from the scale-aware
             # initializer every batch rather than polishing the previous
@@ -167,7 +170,8 @@ class OnlineEstimator:
             )
         elif self.method in GRADIENT_METHODS:
             state_new = self._opt_state.copy()
-            eta_new = gradient_step(ctx, state_new, self._eta, self.method, self.config).eta_new
+            rep = gradient_step(ctx, state_new, self._eta, self.method, self.config)
+            eta_new, factors = rep.eta_new, rep.factors
         elif self.method == "em":
             eta_new = em_step(ctx, self._eta, self.config, need_ml=False).eta_new
         else:
@@ -175,7 +179,7 @@ class OnlineEstimator:
                 ctx, self._eta, self.method, self.config, need_ml=False
             ).eta_new
 
-        h = posterior_mean(ctx, eta_new)
+        h = posterior_mean(ctx, eta_new) if factors is None else _mean(factors)
         elapsed = time.perf_counter() - start
 
         self._stats = new_stats

@@ -6,7 +6,7 @@ data has streamed past.  The TC kernel's closed-form square root
 L = U diag(d), d = sqrt(lam * c) (see kernel.tc_block_weights), turns every
 kernel product into a weighting of two per-batch constants:
 
-    L' R L = (d d') * C,   C = U' R U = cumsum(cumsum(R, 0), 1),
+    L' R L = (d d') * C,   C = U' R U (stats.SufficientStats.C),
     L' ytilde = d * cumsum(ytilde).
 
 With S the lower Cholesky factor of sigma2 I + (d d') * C, the negative log
@@ -19,15 +19,25 @@ which agrees exactly with the dense evaluation y' Sigma^-1 y + log det Sigma,
 Sigma = Phi K Phi' + sigma2 I.  The root is exact on the whole closed box, so
 the formula needs no fallback for semidefinite K (lam = 0 gives S = sigma I
 and the degenerate limit nbar log sigma2 + ybar / sigma2).
+
+There is one factorization per (batch, eta): ``_factorize`` builds S and t,
+and the value, the gradient, the posterior mean and the EM second moment are
+all read off that one factor.  The updaters in ``optim`` hand it along within
+a call (the gradient's factor gives the value at the same eta, the accepted
+line-search candidate's factor gives the estimator its posterior mean), so a
+batch never factors the same matrix twice.  LAPACK is called directly
+(dpotrf, dtrtrs, dtrtri), with an explicit finiteness check standing in for
+scipy's input validation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 
 from .kernel import Hyperparameters, dbeta_block_weights, tc_block_weights
 from .stats import SufficientStats
@@ -41,13 +51,12 @@ class NonFiniteLikelihoodError(ArithmeticError):
 class MLContext:
     """Sufficient statistics plus the noise variance the likelihood conditions on.
 
-    Also holds the two per-batch constants every evaluation weights:
-    ``cum_r`` = U' R U and ``cum_y`` = U' ytilde.
+    Also holds ``cum_y`` = U' ytilde, which every evaluation weights together
+    with stats.C = U' R U.
     """
 
     stats: SufficientStats
     sigma2: float
-    cum_r: np.ndarray = field(init=False, repr=False, compare=False)
     cum_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,7 +64,6 @@ class MLContext:
         if not np.isfinite(s2) or s2 <= 0.0:
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         object.__setattr__(self, "sigma2", s2)
-        object.__setattr__(self, "cum_r", np.cumsum(np.cumsum(self.stats.R, axis=0), axis=1))
         object.__setattr__(self, "cum_y", np.cumsum(self.stats.ytilde))
 
 
@@ -82,49 +90,81 @@ class PosteriorMoments(NamedTuple):
 
 
 class _Factors(NamedTuple):
+    eta: Hyperparameters
     d: np.ndarray  # root weights, K = U diag(d^2) U'
-    s: np.ndarray  # lower Cholesky of sigma2 I + (d d') * cum_r
+    s: np.ndarray  # lower Cholesky of sigma2 I + (d d') * C, Fortran order, upper zeroed
     t: np.ndarray  # S^-1 (d * cum_y)
 
 
 def _factorize(ctx: MLContext, eta: Hyperparameters) -> _Factors:
-    d = np.sqrt(eta.lam * tc_block_weights(ctx.stats.n, eta.beta))
+    """The one O(n^3) step of every evaluation at eta."""
+    n = ctx.stats.n
+    d = np.sqrt(eta.lam * tc_block_weights(n, eta.beta))
     # overflow at extreme eta is expected while an optimizer probes the box
-    # boundary; the non-finite product fails the inner factorization below
+    # boundary; the finiteness check turns it into NonFiniteLikelihoodError
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.outer(d, d) * ctx.cum_r
-    a[np.diag_indices_from(a)] += ctx.sigma2
-    try:
-        s = sla.cholesky(a, lower=True)
-    except (sla.LinAlgError, ValueError) as exc:
+        a = d[:, None] * ctx.stats.C * d
+        rhs = d * ctx.cum_y
+    a.ravel()[:: n + 1] += ctx.sigma2
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         raise NonFiniteLikelihoodError(
-            f"inner factor failed at eta=({eta.lam!r}, {eta.beta!r}): {exc}"
-        ) from exc
-    t = sla.solve_triangular(s, d * ctx.cum_y, lower=True)
-    return _Factors(d=d, s=s, t=t)
+            f"non-finite inner matrix at eta=({eta.lam!r}, {eta.beta!r})"
+        )
+    # a is symmetric, so a.T is the same matrix in Fortran order: dpotrf
+    # factors it in place without a copy and zeroes the upper triangle
+    s, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
+    if info != 0:
+        raise NonFiniteLikelihoodError(
+            f"inner factor failed at eta=({eta.lam!r}, {eta.beta!r}): dpotrf info {info}"
+        )
+    t, _ = lapack.dtrtrs(s, rhs, lower=1)
+    return _Factors(eta=eta, d=d, s=s, t=t)
+
+
+def _value(ctx: MLContext, f: _Factors) -> float:
+    """Negative log marginal likelihood at f.eta, O(n) given the factor."""
+    stats = ctx.stats
+    logdet_s2 = 2.0 * float(np.log(f.s.diagonal()).sum())
+    quad = (stats.ybar - float(f.t @ f.t)) / ctx.sigma2
+    val = (stats.nbar - stats.n) * math.log(ctx.sigma2) + logdet_s2 + quad
+    if not math.isfinite(val):
+        raise NonFiniteLikelihoodError(
+            f"non-finite likelihood at eta=({f.eta.lam!r}, {f.eta.beta!r})"
+        )
+    return val
 
 
 def _mean(f: _Factors) -> np.ndarray:
     """Posterior mean L S^-T t = U (d * S^-T t): a reversed cumulative sum, O(n^2) given S."""
-    z = f.d * sla.solve_triangular(f.s, f.t, lower=True, trans="T")
+    z, _ = lapack.dtrtrs(f.s, f.t, lower=1, trans=1)
+    z *= f.d
     return np.cumsum(z[::-1])[::-1]
 
 
-def neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> float:
-    """Negative log marginal likelihood of the streamed data at eta."""
-    stats = ctx.stats
-    f = _factorize(ctx, eta)
-    logdet_s2 = 2.0 * float(np.sum(np.log(np.diag(f.s))))
-    quad = (stats.ybar - float(f.t @ f.t)) / ctx.sigma2
-    val = (stats.nbar - stats.n) * np.log(ctx.sigma2) + logdet_s2 + quad
-    if not np.isfinite(val):
-        raise NonFiniteLikelihoodError(
-            f"non-finite likelihood at eta=({eta.lam!r}, {eta.beta!r})"
+def _inverse(f: _Factors) -> np.ndarray:
+    """S^-1, lower triangular with the upper triangle zero."""
+    sinv, _ = lapack.dtrtri(f.s, lower=1)
+    return sinv
+
+
+def _posterior_root(f: _Factors, sinv: np.ndarray) -> np.ndarray:
+    """W = S^-1 L' = S^-1 diag(d) U', so that the posterior covariance is sigma2 W'W.
+
+    Scaling the columns of S^-1 by d and multiplying by U' on the right is a
+    reversed cumulative sum along each row.
+    """
+    w = sinv * f.d
+    return np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+
+
+def _require_interior(eta: Hyperparameters) -> None:
+    if eta.lam <= 0.0 or not 0.0 < eta.beta < 1.0:
+        raise ValueError(
+            f"gradient needs interior eta (lam > 0, 0 < beta < 1), got ({eta.lam!r}, {eta.beta!r})"
         )
-    return float(val)
 
 
-def _lambda_split_terms(ctx: MLContext, eta: Hyperparameters, f: _Factors):
+def _lambda_terms(ctx: MLContext, f: _Factors, sinv: np.ndarray):
     """(V_lam, U_lam, q): the lam gradient pieces plus q = U' v.
 
     Uses Tr(Sigma^-1 Phi K_b Phi') = (n - sigma2 ||S^-1||_F^2) / lam, an exact
@@ -133,39 +173,29 @@ def _lambda_split_terms(ctx: MLContext, eta: Hyperparameters, f: _Factors):
     both pieces are nonnegative by construction.
     """
     s2 = ctx.sigma2
-    n = ctx.stats.n
-    sinv = sla.solve_triangular(f.s, np.eye(n), lower=True)
-    ssq = float(np.sum(sinv * sinv))
-    v_lam = max(n - s2 * ssq, 0.0) / eta.lam
+    lam = f.eta.lam
+    flat = sinv.ravel(order="K")
+    v_lam = max(ctx.stats.n - s2 * float(flat @ flat), 0.0) / lam
     # v = (ytilde - R h) / sigma2 with h the posterior mean
     q = np.cumsum(ctx.stats.ytilde - ctx.stats.R @ _mean(f)) / s2
-    u_lam = float(np.sum((f.d * q) ** 2)) / eta.lam
+    dq = f.d * q
+    u_lam = float(dq @ dq) / lam
     return v_lam, u_lam, q
 
 
-def grad_neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> GradientSplit:
-    """Sign-split gradient (V, U) of neg_log_ml at an interior eta.
-
-    The beta component is assembled blockwise: the derivative kernel
-    d K_b / d beta decomposes over leading-block indicators with weights of
-    either sign (kernel.dbeta_block_weights), and each block contributes a
-    nonnegative trace and a nonnegative quadratic term, routed to V or U
-    according to the weight's sign so that V > 0, U >= 0 and grad = V - U.
-    """
-    if eta.lam <= 0.0 or not 0.0 < eta.beta < 1.0:
-        raise ValueError(
-            f"gradient needs interior eta (lam > 0, 0 < beta < 1), got ({eta.lam!r}, {eta.beta!r})"
-        )
-    s2 = ctx.sigma2
-    f = _factorize(ctx, eta)
-    v_lam, u_lam, q = _lambda_split_terms(ctx, eta, f)
+def _split(ctx: MLContext, f: _Factors) -> GradientSplit:
+    """Sign-split gradient at f.eta from its factor (see grad_neg_log_ml)."""
+    eta = f.eta
+    _require_interior(eta)
+    sinv = _inverse(f)
+    v_lam, u_lam, q = _lambda_terms(ctx, f, sinv)
 
     # Per-block trace terms Tr(Sigma^-1 Phi B_m Phi') = (C_mm - ||G e_m||^2) / sigma2
     # with G = S^-1 L' R U = S^-1 (d * C), and quadratics (v' B_m v) = q_m^2.
     c = dbeta_block_weights(ctx.stats.n, eta.beta)
-    g = sla.solve_triangular(f.s, f.d[:, None] * ctx.cum_r, lower=True)
+    g = sinv @ (f.d[:, None] * ctx.stats.C)
     colsq = np.einsum("ij,ij->j", g, g)
-    tv = np.maximum(ctx.cum_r.diagonal() - colsq, 0.0) / s2
+    tv = np.maximum(ctx.stats.C.diagonal() - colsq, 0.0) / ctx.sigma2
     tu = q * q
 
     pos = c > 0.0
@@ -182,19 +212,52 @@ def grad_neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> GradientSplit:
     return split
 
 
-def grad_lambda_only(ctx: MLContext, eta: Hyperparameters) -> tuple:
-    """(V_lam, U_lam) without the beta machinery; the cheap path for frozen beta."""
-    if eta.lam <= 0.0 or not 0.0 < eta.beta < 1.0:
-        raise ValueError(
-            f"gradient needs interior eta (lam > 0, 0 < beta < 1), got ({eta.lam!r}, {eta.beta!r})"
-        )
-    f = _factorize(ctx, eta)
-    v_lam, u_lam, _ = _lambda_split_terms(ctx, eta, f)
-    if not (np.isfinite(v_lam) and np.isfinite(u_lam)):
+def _lambda_split(ctx: MLContext, f: _Factors) -> tuple:
+    """(V_lam, U_lam) at f.eta from its factor (see grad_lambda_only)."""
+    _require_interior(f.eta)
+    v_lam, u_lam, _ = _lambda_terms(ctx, f, _inverse(f))
+    if not (math.isfinite(v_lam) and math.isfinite(u_lam)):
         raise NonFiniteLikelihoodError(
-            f"non-finite gradient at eta=({eta.lam!r}, {eta.beta!r})"
+            f"non-finite gradient at eta=({f.eta.lam!r}, {f.eta.beta!r})"
         )
     return v_lam, u_lam
+
+
+def _moment_bands(ctx: MLContext, f: _Factors):
+    """Main and first super diagonal of the posterior second moment M = P + h h'.
+
+    With P = sigma2 W'W (see _posterior_root) the two bands are column sums
+    of W * W and of W[:, :-1] * W[:, 1:], so the n-by-n product W'W is never
+    formed; that is all an EM M-step against the tridiagonal kernel inverse
+    reads.
+    """
+    w = _posterior_root(f, _inverse(f))
+    h = _mean(f)
+    diag = ctx.sigma2 * np.einsum("ij,ij->j", w, w) + h * h
+    off = ctx.sigma2 * np.einsum("ij,ij->j", w[:, :-1], w[:, 1:]) + h[:-1] * h[1:]
+    return diag, off
+
+
+def neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> float:
+    """Negative log marginal likelihood of the streamed data at eta."""
+    return _value(ctx, _factorize(ctx, eta))
+
+
+def grad_neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> GradientSplit:
+    """Sign-split gradient (V, U) of neg_log_ml at an interior eta.
+
+    The beta component is assembled blockwise: the derivative kernel
+    d K_b / d beta decomposes over leading-block indicators with weights of
+    either sign (kernel.dbeta_block_weights), and each block contributes a
+    nonnegative trace and a nonnegative quadratic term, routed to V or U
+    according to the weight's sign so that V > 0, U >= 0 and grad = V - U.
+    """
+    return _split(ctx, _factorize(ctx, eta))
+
+
+def grad_lambda_only(ctx: MLContext, eta: Hyperparameters) -> tuple:
+    """(V_lam, U_lam) without the beta machinery; the cheap path for frozen beta."""
+    return _lambda_split(ctx, _factorize(ctx, eta))
 
 
 def posterior_mean(ctx: MLContext, eta: Hyperparameters) -> np.ndarray:
@@ -210,8 +273,5 @@ def posterior_moments(ctx: MLContext, eta: Hyperparameters) -> PosteriorMoments:
     costs O(n^3); callers that need the mean alone use posterior_mean.
     """
     f = _factorize(ctx, eta)
-    # W = S^-1 L' = S^-1 diag(d) U': scale the columns of S^-1, then U' on the
-    # right is a reversed cumulative sum along each row
-    w = sla.solve_triangular(f.s, np.diag(f.d), lower=True)
-    w = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    w = _posterior_root(f, _inverse(f))
     return PosteriorMoments(mean=_mean(f), cov=ctx.sigma2 * (w.T @ w))

@@ -20,19 +20,17 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernel import (
-    Hyperparameters,
-    NotPositiveDefiniteError,
-    unit_kernel_inverse_bands,
-    unit_kernel_logdet,
-)
+from . import likelihood
+from .kernel import Hyperparameters, unit_kernel_inverse_bands
 from .likelihood import (
     MLContext,
     NonFiniteLikelihoodError,
-    grad_lambda_only,
-    grad_neg_log_ml,
+    _lambda_split,
+    _mean,
+    _moment_bands,
+    _split,
+    _value,
     neg_log_ml,
-    posterior_moments,
 )
 
 GRADIENT_METHODS = ("bb", "sgp", "bfgs")
@@ -104,6 +102,9 @@ class StepReport:
     gamma: float
     backtracks: int  # rejected candidate step lengths
     method: str
+    # factor at eta_new when the step built one, so the caller can form the
+    # posterior mean without factorizing again
+    factors: Optional[likelihood._Factors] = field(default=None, repr=False, compare=False)
 
 
 class OptInfo(NamedTuple):
@@ -209,14 +210,20 @@ def bfgs_update(b_prev: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 0.5 * (b + b.T)
 
 
+def _grad_at(ctx: MLContext, eta: Hyperparameters, active: tuple, cfg: OptimizerConfig):
+    """(grad, V, factor) on the active coordinates, at the interior-clamped eta."""
+    f = likelihood._factorize(ctx, _interior(eta, cfg))
+    if active == (0,):
+        v_lam, u_lam = _lambda_split(ctx, f)
+        return np.array([v_lam - u_lam]), np.array([v_lam]), f
+    split = _split(ctx, f)
+    return split.grad, split.V, f
+
+
 def _eval_grad(ctx: MLContext, eta: Hyperparameters, active: tuple, cfg: OptimizerConfig):
     """(grad, V) on the active coordinates, at the interior-clamped eta."""
-    eta_eval = _interior(eta, cfg)
-    if active == (0,):
-        v_lam, u_lam = grad_lambda_only(ctx, eta_eval)
-        return np.array([v_lam - u_lam]), np.array([v_lam])
-    split = grad_neg_log_ml(ctx, eta_eval)
-    return split.grad, split.V
+    grad, v, _ = _grad_at(ctx, eta, active, cfg)
+    return grad, v
 
 
 def gradient_step(
@@ -229,7 +236,9 @@ def gradient_step(
     """One projected scaled-gradient iteration; mutates ``state`` in place.
 
     After the call the state holds the pre-step iterate and its gradient,
-    which is exactly the secant seed the next batch needs.
+    which is exactly the secant seed the next batch needs.  An interior eta
+    is factorized once, for the gradient and the value alike, and each
+    line-search candidate once; the report carries the factor at eta_new.
     """
     if method not in GRADIENT_METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
@@ -237,7 +246,7 @@ def gradient_step(
     act = list(state.active)
     eta_arr = eta.as_array()
 
-    grad_act, v_act = _eval_grad(ctx, eta, state.active, cfg)
+    grad_act, v_act, f = _grad_at(ctx, eta, state.active, cfg)
     r, w = secant_pair(state, eta_arr, grad_act)
     tau_new = state.tau
     b_new = state.b_prev
@@ -258,7 +267,9 @@ def gradient_step(
     delta = z - eta_arr
     slope = float(grad_act @ delta[act])
 
-    ml_before = neg_log_ml(ctx, eta)
+    if f.eta != eta:  # the gradient was taken at the interior-clamped eta
+        f = likelihood._factorize(ctx, eta)
+    ml_before = _value(ctx, f)
     gamma = 0.0
     backtracks = 0
     ml_after = ml_before
@@ -271,7 +282,8 @@ def gradient_step(
             g = cfg.backtrack_factor**i
             cand = Hyperparameters.from_array(_clamp_box(eta_arr + g * delta))
             try:
-                ml_c = neg_log_ml(ctx, cand)
+                f_c = likelihood._factorize(ctx, cand)
+                ml_c = _value(ctx, f_c)
             except NonFiniteLikelihoodError:
                 continue
             if ml_c <= ml_before + cfg.armijo_c * g * slope:
@@ -279,6 +291,7 @@ def gradient_step(
                 backtracks = i
                 ml_after = ml_c
                 eta_new = cand
+                f = f_c
                 break
 
     state.eta_prev = eta_arr
@@ -298,6 +311,7 @@ def gradient_step(
         gamma=gamma,
         backtracks=backtracks,
         method=method,
+        factors=f,
     )
 
 
@@ -330,77 +344,108 @@ def _inverse_kernel_trace(n: int, beta: float, diag: np.ndarray, offdiag: np.nda
     return float(d @ diag) + 2.0 * float(e @ offdiag)
 
 
+def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
+    """The M-step's beta profile from the two bands of the second moment M.
+
+    Returns beta -> (g, lam*) with lam*(beta) = Tr(K_b^-1 M) / n the
+    closed-form lam for fixed beta and g = n log lam* + log det K_b the
+    profiled objective.  Spelling the tridiagonal inverse out
+    (kernel.unit_kernel_inverse_bands) gives, for n >= 2,
+
+        lam* n (1 - beta) beta^n = sum_i beta^(n-i) (p_i + beta q_i),
+        p_i = M_ii - 2 M_i,i+1 (p_n = M_nn),  q_i = M_ii for 1 < i < n else 0,
+
+    so each evaluation is one powers vector and two dot products.  g is inf
+    wherever unit_kernel_inverse_bands would raise (beta**n underflowing or
+    the inverse overflowing) and wherever lam* is not finite and positive.
+    """
+    n = m_diag.size
+    pq = np.zeros((2, n))  # rows p and q, reversed so that entry k is weighted by beta**k
+    pq[0] = m_diag[::-1]
+    pq[0, 1:] -= 2.0 * m_off[::-1]
+    pq[1, 1:-1] = m_diag[-2:0:-1]
+    k = np.arange(n, dtype=float)
+    half = 0.5 * n * (n + 1)
+
+    def profile(beta: float):
+        if n == 1:  # the inverse is the scalar 1 / beta
+            scale = beta
+        else:
+            beta_n = beta**n
+            scale = (1.0 - beta) * beta_n
+            if beta_n == 0.0 or scale == 0.0 or not math.isfinite((1.0 + beta) / scale):
+                return np.inf, 0.0
+        sp, sq = pq @ beta**k
+        lam_star = float(sp + beta * sq) / (n * scale)
+        if not math.isfinite(lam_star) or lam_star <= 0.0:
+            return np.inf, 0.0
+        return n * math.log(lam_star) + half * math.log(beta) + (n - 1) * math.log1p(-beta), lam_star
+
+    return profile
+
+
 def em_step(
     ctx: MLContext, eta: Hyperparameters, cfg: OptimizerConfig = None, need_ml: bool = True
 ) -> StepReport:
-    """Full EM update: posterior moments at eta, then the exact M-step.
+    """Full EM update: posterior second moment at eta, then the exact M-step.
 
-    lam has the closed form (h'K_b^-1 h + Tr(K_b^-1 P)) / n for fixed beta, so
-    the M-step reduces to a one-dimensional search over beta; the profiled
-    objective is minimized by golden section and compared against the current
-    beta so the evidence never degrades.  Each profile evaluation is O(n)
-    thanks to the kernel's tridiagonal inverse, which keeps the full EM step
-    as cheap as the gradient one-steps despite the inner search.
+    lam has the closed form Tr(K_b^-1 M) / n for fixed beta, with M = P + h h'
+    the posterior second moment, so the M-step reduces to a one-dimensional
+    search over beta; the profiled objective is minimized by golden section
+    and compared against the current beta so the evidence never degrades.
+    The kernel's inverse is exactly tridiagonal, so the M-step reads only
+    M's main and first super diagonal (likelihood._moment_bands, O(n^2)
+    column sums from the same factor as the value), and each profile
+    evaluation is O(n) in closed form (_em_profile).
 
     ``need_ml=False`` skips the likelihood evaluations that only populate the
     report fields; the update itself never needs them.
     """
     cfg = cfg or OptimizerConfig()
-    n = ctx.stats.n
-    ml_before = neg_log_ml(ctx, eta) if need_ml else float("nan")
-    mean, cov = posterior_moments(ctx, eta)
-    second_moment = cov + np.outer(mean, mean)
+    f = likelihood._factorize(ctx, eta)
+    ml_before = _value(ctx, f) if need_ml else float("nan")
+    m_diag, m_off = _moment_bands(ctx, f)
 
-    if float(np.trace(second_moment)) <= 0.0:
+    if float(m_diag.sum()) <= 0.0:
         # Degenerate posterior (lam already 0): the M-step sends lam to the
         # boundary and beta is irrelevant.
         eta_new = Hyperparameters(0.0, eta.beta)
         return StepReport(eta_new, ml_before, ml_before, 1.0, 0, "em")
 
-    sm_diag = np.diagonal(second_moment).copy()
-    sm_off = np.diagonal(second_moment, offset=1).copy()
-    memo = {}
+    profile = _em_profile(m_diag, m_off)
 
-    def profile(beta: float) -> float:
-        if beta in memo:
-            return memo[beta][0]
-        try:
-            lam_star = _inverse_kernel_trace(n, beta, sm_diag, sm_off) / n
-            logdet = unit_kernel_logdet(n, beta)
-        except NotPositiveDefiniteError:
-            memo[beta] = (np.inf, 0.0)
-            return np.inf
-        if not np.isfinite(lam_star) or lam_star <= 0.0:
-            memo[beta] = (np.inf, 0.0)
-            return np.inf
-        g = n * np.log(lam_star) + logdet
-        memo[beta] = (g, lam_star)
-        return g
+    def objective(beta: float) -> float:
+        return profile(beta)[0]
 
     lo, hi = cfg.beta_eps, 1.0 - cfg.beta_eps
     beta_cur = min(max(eta.beta, lo), hi)
-    g_cur = profile(beta_cur)
-    beta_gs, g_gs = _golden_min(profile, lo, hi, cfg.em_golden_tol, cfg.em_max_evals)
+    g_cur = objective(beta_cur)
+    beta_gs, g_gs = _golden_min(objective, lo, hi, cfg.em_golden_tol, cfg.em_max_evals)
     beta_sel = beta_gs if g_gs < g_cur else beta_cur
-    eta_new = Hyperparameters(memo[beta_sel][1], beta_sel)
+    eta_new = Hyperparameters(profile(beta_sel)[1], beta_sel)
     ml_after = neg_log_ml(ctx, eta_new) if need_ml else float("nan")
     return StepReport(eta_new, ml_before, ml_after, 1.0, 0, "em")
 
 
+def _variant_lambda(ctx: MLContext, f: likelihood._Factors, method: str) -> float:
+    """lam update of em1 (mean only) or em2 (mean and covariance) at f.eta."""
+    if method == "em1":
+        h = _mean(f)
+        diag, off = h * h, h[:-1] * h[1:]
+    else:
+        diag, off = _moment_bands(ctx, f)
+    n = ctx.stats.n
+    return _inverse_kernel_trace(n, f.eta.beta, diag, off) / n
+
+
 def em1_lambda(ctx: MLContext, eta: Hyperparameters) -> float:
     """lam update h'K_b^-1 h / n: EM with the posterior-covariance term dropped."""
-    mean, _ = posterior_moments(ctx, eta)
-    n = ctx.stats.n
-    return _inverse_kernel_trace(n, eta.beta, mean * mean, mean[:-1] * mean[1:]) / n
+    return _variant_lambda(ctx, likelihood._factorize(ctx, eta), "em1")
 
 
 def em2_lambda(ctx: MLContext, eta: Hyperparameters) -> float:
     """Exact fixed-beta EM update (h'K_b^-1 h + Tr(K_b^-1 P)) / n."""
-    mean, cov = posterior_moments(ctx, eta)
-    n = ctx.stats.n
-    second_diag = np.diagonal(cov) + mean * mean
-    second_off = np.diagonal(cov, offset=1) + mean[:-1] * mean[1:]
-    return _inverse_kernel_trace(n, eta.beta, second_diag, second_off) / n
+    return _variant_lambda(ctx, likelihood._factorize(ctx, eta), "em2")
 
 
 def em_variant_step(
@@ -413,8 +458,9 @@ def em_variant_step(
     """One lam-only EM update (beta frozen), packaged as a StepReport."""
     if method not in ("em1", "em2"):
         raise ValueError(f"unknown EM variant {method!r}")
-    ml_before = neg_log_ml(ctx, eta) if need_ml else float("nan")
-    lam_new = em1_lambda(ctx, eta) if method == "em1" else em2_lambda(ctx, eta)
+    f = likelihood._factorize(ctx, eta)
+    ml_before = _value(ctx, f) if need_ml else float("nan")
+    lam_new = _variant_lambda(ctx, f, method)
     eta_new = Hyperparameters(max(lam_new, 0.0), eta.beta)
     ml_after = neg_log_ml(ctx, eta_new) if need_ml else float("nan")
     return StepReport(eta_new, ml_before, ml_after, 1.0, 0, method)

@@ -2,7 +2,10 @@
 
 Incoming input/output batches are compressed into {R, ytilde, ybar, nbar}
 with R = Phi' Phi and ytilde = Phi' Y, so memory stays O(n^2) no matter how
-long the stream runs.  Regressor rows follow the convention
+long the stream runs.  The same Gram matrix in the cumulative-sum basis of
+the TC kernel's square root, C = U' R U (U the upper-triangular all-ones
+matrix), is folded in alongside R, since every likelihood evaluation reads
+it.  Regressor rows follow the convention
 
     phi(t) = [u(t), u(t-1), ..., u(t-n+1)],
 
@@ -12,10 +15,10 @@ across batch boundaries so rows at a boundary are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 
 RIDGE_SCALE = 1e-8
 NOISE_FLOOR = 1e-12
@@ -57,7 +60,11 @@ class Batch:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Compressed regression statistics plus the input tail for row building."""
+    """Compressed regression statistics plus the input tail for row building.
+
+    ``C`` = U' R U = cumsum(cumsum(R, 0), 1); ``ingest`` updates it with the
+    batch's cumulative-sum rows, and it is computed from R when left out.
+    """
 
     n: int
     R: np.ndarray
@@ -65,6 +72,11 @@ class SufficientStats:
     ybar: float
     nbar: int
     history: np.ndarray  # last n-1 inputs seen, oldest first
+    C: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.C is None:
+            object.__setattr__(self, "C", np.cumsum(np.cumsum(self.R, axis=0), axis=1))
 
     @classmethod
     def empty(cls, n: int) -> "SufficientStats":
@@ -84,7 +96,7 @@ def regressor_rows(u: np.ndarray, history: np.ndarray, n: int) -> np.ndarray:
     """Build the batch regressor matrix, one row [u(t), ..., u(t-n+1)] per sample.
 
     ``history`` holds the n-1 inputs that preceded this batch (zeros where the
-    stream has not run that long yet).
+    stream has not run that long yet).  The result is a read-only strided view.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     nk = u.size
@@ -94,8 +106,10 @@ def regressor_rows(u: np.ndarray, history: np.ndarray, n: int) -> np.ndarray:
         if hist.size:
             tail[-hist.size:] = hist
     ext = np.concatenate([tail, u])
-    cols = [ext[n - 1 - i : n - 1 - i + nk] for i in range(n)]
-    return np.stack(cols, axis=1)
+    # row t starts at u(t) = ext[n-1+t] and walks back n samples: a read-only
+    # view with a negative column stride, no copy
+    step = ext.strides[0]
+    return np.lib.stride_tricks.as_strided(ext[n - 1:], shape=(nk, n), strides=(step, -step), writeable=False)
 
 
 def ingest(stats: SufficientStats, batch: Batch) -> SufficientStats:
@@ -105,12 +119,15 @@ def ingest(stats: SufficientStats, batch: Batch) -> SufficientStats:
     can simply keep the old object.
     """
     phi = regressor_rows(batch.u, stats.history, stats.n)
+    psi = np.cumsum(phi, axis=1)  # rows of Phi U
     if len(batch) == 1:
         row = phi[0]
         r_new = stats.R + np.outer(row, row)
+        c_new = stats.C + np.outer(psi[0], psi[0])
         ytilde_new = stats.ytilde + row * batch.y[0]
     else:
         r_new = stats.R + phi.T @ phi
+        c_new = stats.C + psi.T @ psi
         ytilde_new = stats.ytilde + phi.T @ batch.y
     ybar_new = stats.ybar + float(batch.y @ batch.y)
     history_new = np.concatenate([stats.history, batch.u])[-(stats.n - 1):] if stats.n > 1 else stats.history
@@ -121,7 +138,19 @@ def ingest(stats: SufficientStats, batch: Batch) -> SufficientStats:
         ybar=ybar_new,
         nbar=stats.nbar + len(batch),
         history=history_new,
+        C=c_new,
     )
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray):
+    """Solution of the symmetric system a x = b by Cholesky, or None when an
+    input is not finite or a is not numerically positive definite."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return None
+    c, info = lapack.dpotrf(a.T, lower=1)  # a.T: the same matrix in Fortran order
+    if info != 0:
+        return None
+    return lapack.dpotrs(c, b, lower=1)[0]
 
 
 def ls_estimate(stats: SufficientStats) -> np.ndarray:
@@ -135,11 +164,9 @@ def ls_estimate(stats: SufficientStats) -> np.ndarray:
     energy (a diagonal of R is zero) even though nbar >= n, so no amount of
     further data at this excitation can pin that coefficient down.
     """
-    try:
-        cho = sla.cho_factor(stats.R, lower=True)
-        return sla.cho_solve(cho, stats.ytilde)
-    except (sla.LinAlgError, ValueError):
-        pass
+    h = _cholesky_solve(stats.R, stats.ytilde)
+    if h is not None:
+        return h
     if stats.nbar >= stats.n and np.any(np.diagonal(stats.R) <= 0.0):
         raise RankDeficientError(
             f"unexcited regressor lag: R has a zero diagonal with nbar={stats.nbar} >= n={stats.n}"
@@ -148,11 +175,10 @@ def ls_estimate(stats: SufficientStats) -> np.ndarray:
     if trace <= 0.0:
         return np.zeros(stats.n)
     ridge = RIDGE_SCALE * trace / stats.n
-    try:
-        cho = sla.cho_factor(stats.R + ridge * np.eye(stats.n), lower=True)
-    except (sla.LinAlgError, ValueError):
-        raise RankDeficientError("R is numerically singular even after ridge regularization") from None
-    return sla.cho_solve(cho, stats.ytilde)
+    h = _cholesky_solve(stats.R + ridge * np.eye(stats.n), stats.ytilde)
+    if h is None:
+        raise RankDeficientError("R is numerically singular even after ridge regularization")
+    return h
 
 
 def noise_variance(stats: SufficientStats, h_ls: np.ndarray, floor: float = NOISE_FLOOR) -> float:

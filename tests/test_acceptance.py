@@ -270,10 +270,12 @@ def test_criterion_8_final_fit_quality(study):
 
 
 def test_criterion_9_one_step_speedup_and_lambda_only_cost(study):
-    worst_ratio = np.inf
+    worst_ratio, worst_tok, worst_run = np.inf, None, None
     for tok in ONESTEP:
         for run, rows in study[tok].items():
-            worst_ratio = min(worst_ratio, study["opt"][run][-1][10] / rows[-1][10])
+            ratio = study["opt"][run][-1][10] / rows[-1][10]
+            if ratio < worst_ratio:
+                worst_ratio, worst_tok, worst_run = ratio, tok, run
     ok_speed = worst_ratio >= 10.0
     totals = {tok: sum(rows[-1][10] for rows in study[tok].values()) for tok in study}
     pairs = (
@@ -288,7 +290,7 @@ def test_criterion_9_one_step_speedup_and_lambda_only_cost(study):
     _verdict(
         9,
         ok_speed and ok_pairs,
-        f"worst per-run opt/one-step time ratio {worst_ratio:.1f} (>=10); "
+        f"worst per-run opt/one-step time ratio {worst_ratio:.1f} (>=10, {worst_tok} run {worst_run}); "
         f"lambda-only totals <= full-eta totals: {ok_pairs}",
     )
 

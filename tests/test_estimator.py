@@ -12,6 +12,9 @@ from bayesfir import (
     random_system,
     simulate_io,
 )
+from bayesfir import estimator, likelihood
+from bayesfir.likelihood import posterior_mean
+from bayesfir.optim import OptimizerConfig, _interior
 from bayesfir.stats import ls_estimate
 
 from oracles import dense_regressors
@@ -157,3 +160,62 @@ def test_full_optimization_mode_costs_more():
     t_quick = sum(s.seconds for s in run_stream(quick, u, y, warm=100, nk=20))
     t_thorough = sum(s.seconds for s in run_stream(thorough, u, y, warm=100, nk=20))
     assert t_thorough > 3.0 * t_quick
+
+
+def test_one_factorization_per_batch_and_eta(monkeypatch):
+    # band-limited protocol at n=80, nk=10: a gradient step factors its
+    # interior eta once (value and gradient alike) plus each line-search
+    # candidate once, and the estimator's mean reuses the factor at the new
+    # eta; EM factors the old eta for the second moment and the new one for
+    # the mean
+    rng = np.random.default_rng(3)
+    n, warm, nk = 80, 100, 10
+    system = random_system(rng, n)
+    u = bandlimited_input(rng, warm + 20 * nk)
+    y = simulate_io(system, u, 5.0, rng)
+    factored = []
+    real_factorize = likelihood._factorize
+
+    def counting_factorize(ctx, eta):
+        factored.append(eta)
+        return real_factorize(ctx, eta)
+
+    reports = []
+    real_step = estimator.gradient_step
+
+    def recording_step(*args, **kwargs):
+        reports.append(real_step(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(likelihood, "_factorize", counting_factorize)
+    monkeypatch.setattr(estimator, "gradient_step", recording_step)
+    cfg = OptimizerConfig()
+    for method, lambda_only in (
+        ("bb", False), ("sgp", False), ("bfgs", False), ("sgp", True),
+        ("em", False), ("em1", False), ("em2", False),
+    ):
+        est = OnlineEstimator(n, method=method, lambda_only=lambda_only)
+        est.initialize(u[:warm], y[:warm])
+        checked = 0
+        for start in range(warm, u.size, nk):
+            interior = _interior(est._eta, cfg) == est._eta
+            factored.clear()
+            reports.clear()
+            snap = est.process_batch(u[start:start + nk], y[start:start + nk])
+            paid = len(factored)
+            if method.startswith("em"):
+                assert paid == 2, (method, snap.batch_index, paid)
+                checked += 1
+            elif interior:
+                (rep,) = reports
+                if rep.gamma > 0.0:
+                    candidates = rep.backtracks + 1
+                elif rep.backtracks == cfg.max_backtracks:
+                    candidates = cfg.max_backtracks + 1
+                else:  # ascent direction: no line search at all
+                    candidates = 0
+                assert paid == 1 + candidates, (method, lambda_only, snap.batch_index, paid, candidates)
+                checked += 1
+            ctx = MLContext(est._stats, snap.sigma2)
+            np.testing.assert_array_equal(snap.h, posterior_mean(ctx, snap.eta))
+        assert checked > 0, (method, lambda_only)

@@ -13,11 +13,16 @@ from bayesfir import (
     NonFiniteLikelihoodError,
     SufficientStats,
     grad_neg_log_ml,
+    gradient_step,
     ingest,
+    ls_estimate,
     neg_log_ml,
+    noise_variance,
     posterior_moments,
 )
-from bayesfir.likelihood import grad_lambda_only
+from bayesfir.kernel import tc_block_weights
+from bayesfir.likelihood import grad_lambda_only, posterior_mean
+from bayesfir.optim import OptimizerConfig, _eval_grad, fresh_state
 
 from oracles import dense_neg_log_ml, dense_tc_kernel, random_eta, random_instance
 
@@ -138,6 +143,46 @@ def test_overflowing_kernel_reports_non_finite():
     ctx, _, _ = random_instance(rng, 6, 30)
     with pytest.raises(NonFiniteLikelihoodError):
         neg_log_ml(ctx, Hyperparameters(1e308, 0.9))
+
+
+def overflow_context():
+    """An n=6 stream scaled up so that (d d') * C overflows at lam = 1e300."""
+    rng = np.random.default_rng(29)
+    _, u, y = random_instance(rng, 6, 30)
+    stats = ingest(SufficientStats.empty(6), Batch(1e5 * u, 1e5 * y))
+    ctx = MLContext(stats, noise_variance(stats, ls_estimate(stats)))
+    d = np.sqrt(1e300 * tc_block_weights(6, 0.9))
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(np.outer(d, d) * stats.C))
+    return ctx
+
+
+def test_overflowing_eta_raises_non_finite_everywhere():
+    # the LAPACK calls do no input validation of their own: an overflowing
+    # inner matrix must still surface as NonFiniteLikelihoodError, never as
+    # ValueError, LinAlgError or a NaN result
+    ctx = overflow_context()
+    eta = Hyperparameters(1e300, 0.9)
+    for fn in (neg_log_ml, grad_neg_log_ml, grad_lambda_only, posterior_mean, posterior_moments):
+        with pytest.raises(NonFiniteLikelihoodError):
+            fn(ctx, eta)
+
+
+def test_gradient_step_skips_overflowing_candidates():
+    ctx = overflow_context()
+    eta0 = Hyperparameters(1e-6, 0.9)
+    (grad,), _ = _eval_grad(ctx, eta0, (0,), OptimizerConfig())
+    assert grad < 0.0
+    # a fixed step length that sends the first candidate to lam ~ 1e300
+    alpha = 1e300 / -grad
+    cfg = OptimizerConfig(alpha_min=alpha, alpha_max=alpha)
+    with pytest.raises(NonFiniteLikelihoodError):
+        neg_log_ml(ctx, Hyperparameters(eta0.lam - alpha * grad, eta0.beta))
+    state = fresh_state(ctx, eta0, cfg, lambda_only=True)
+    rep = gradient_step(ctx, state, eta0, "bb", cfg)
+    assert rep.backtracks >= 1
+    assert np.isfinite(rep.ml_before) and np.isfinite(rep.ml_after)
+    assert rep.eta_new.lam < 1e300
 
 
 def test_posterior_scalar_example():

@@ -19,10 +19,13 @@ from bayesfir import (
     project,
     sgp_scaling,
 )
-from bayesfir.likelihood import grad_lambda_only
+from bayesfir.kernel import NotPositiveDefiniteError, unit_kernel_inverse_bands, unit_kernel_logdet
+from bayesfir.likelihood import grad_lambda_only, posterior_moments
 from bayesfir.optim import (
     OptimizerState,
+    _em_profile,
     _eval_grad,
+    _inverse_kernel_trace,
     em_variant_step,
     fresh_state,
     secant_pair,
@@ -266,6 +269,26 @@ def test_em_step_degenerate_posterior_short_circuits():
     rep = em_step(ctx, Hyperparameters(0.0, 0.7), CFG)
     assert rep.eta_new.lam == 0.0
     assert rep.eta_new.beta == 0.7
+
+
+def test_em_profile_matches_banded_form():
+    rng = np.random.default_rng(59)
+    n = 80
+    ctx, _, _ = random_instance(rng, n, 400)
+    post = posterior_moments(ctx, Hyperparameters(1.0, 0.9))
+    second = post.cov + np.outer(post.mean, post.mean)
+    diag, off = np.diag(second).copy(), np.diag(second, 1).copy()
+    profile = _em_profile(diag, off)
+    for beta in (1e-3, 0.01, 0.5, 0.9, 1.0 - 1e-6):
+        lam = _inverse_kernel_trace(n, beta, diag, off) / n
+        want = n * np.log(lam) + unit_kernel_logdet(n, beta)
+        g, lam_star = profile(beta)
+        assert abs(g - want) <= 1e-12 * abs(want), beta
+        assert abs(lam_star - lam) <= 1e-12 * lam, beta
+    # beta**80 underflows: the banded form raises, the profile is inf
+    with pytest.raises(NotPositiveDefiniteError):
+        unit_kernel_inverse_bands(n, 1e-5)
+    assert profile(1e-5)[0] == np.inf
 
 
 def test_need_ml_flag_only_affects_the_report():

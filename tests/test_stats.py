@@ -138,6 +138,17 @@ def test_ls_flags_persistent_rank_deficiency():
         ls_estimate(stats)
 
 
+def test_ls_flags_non_finite_statistics():
+    # overflowed statistics must not slip through the Cholesky solve as a
+    # finite-looking estimate
+    stats = SufficientStats(
+        n=2, R=np.array([[np.inf, 0.0], [0.0, 1.0]]), ytilde=np.ones(2),
+        ybar=1.0, nbar=10, history=np.zeros(1),
+    )
+    with pytest.raises(RankDeficientError), np.errstate(invalid="ignore"):
+        ls_estimate(stats)
+
+
 def test_ls_ridge_path_on_singular_but_excited_stats():
     # consistent singular system: the ridge picks the minimum-norm solution
     stats = SufficientStats(
