@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -357,6 +356,9 @@ def montecarlo_rows(xcfg, ocfg, mode="onestep", workers=1):
     """
     jobs = [(xcfg, ocfg, run, mode) for run in range(xcfg.runs)]
     if workers > 1:
+        # imported here: most runs are serial and need not pay for it at import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_run = list(pool.map(_mc_run, jobs))
     else:

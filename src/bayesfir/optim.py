@@ -434,6 +434,10 @@ def _variant_lambda(ctx: MLContext, f: likelihood._Factors, method: str) -> floa
         diag, off = h * h, h[:-1] * h[1:]
     else:
         diag, off = _moment_bands(ctx, f)
+    if float(diag.sum()) <= 0.0:
+        # Degenerate posterior (a zero kernel, e.g. beta = 0): lam goes to the
+        # boundary as in em_step, and the singular kernel inverse is not needed.
+        return 0.0
     n = ctx.stats.n
     return _inverse_kernel_trace(n, f.eta.beta, diag, off) / n
 

@@ -6,6 +6,9 @@ with unit Euclidean norm; systems whose response has not decayed to 1e-3 of
 its peak by tap n are resampled.  The excitation is unit-variance white noise
 shaped by a fixed 64-tap Hamming-windowed-sinc low-pass with cutoff at 0.8
 times Nyquist.
+
+Both filters are numpy-only, and bit-identical to scipy.signal's
+``firwin(64, 0.8)`` and ``lfilter``, so this module does not load scipy.signal.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as ssig
 
 FILTER_TAPS = 64
 FILTER_CUTOFF = 0.8  # relative to Nyquist
@@ -21,6 +23,21 @@ POLE_RADIUS = 0.95
 ORDER_RANGE = (5, 10)
 DECAY_TOL = 1e-3
 MAX_RETRIES = 50
+
+
+def _lowpass_taps(numtaps: int, cutoff: float) -> np.ndarray:
+    """Hamming-windowed-sinc low-pass, unit gain at DC, as firwin computes it.
+
+    The window coefficient 1 - 0.54 is spelled as firwin's general_hamming
+    spells it; the literal 0.46 differs from it by one ulp.
+    """
+    m = np.arange(numtaps, dtype=float) - 0.5 * (numtaps - 1)
+    window = 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, numtaps))
+    h = cutoff * np.sinc(cutoff * m) * window
+    return h / np.sum(h)
+
+
+_LOWPASS = _lowpass_taps(FILTER_TAPS, FILTER_CUTOFF)
 
 
 @dataclass(frozen=True)
@@ -74,10 +91,33 @@ def _sample_in_disk(rng, count: int, radius: float) -> np.ndarray:
 
 
 def impulse_response(b: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    """First n impulse-response taps of the rational filter b(z^-1)/a(z^-1)."""
+    """First n impulse-response taps of the rational filter b(z^-1)/a(z^-1).
+
+    Bit-identical to ``lfilter(b, a, impulse)``.  A polynomial denominator
+    runs lfilter's transposed direct-form II on Python floats in its order of
+    operations: both polynomials are zero-padded to one length and divided
+    by a[0], then per sample y = z[0] + b[0] x and
+    z[j] = (z[j+1] + x b[j+1]) - y a[j+1], the last state x b[-1] - y a[-1].
+    A scalar denominator is a convolution, as in lfilter.
+    """
+    b = np.asarray(b, dtype=float)
+    a = np.asarray(a, dtype=float)
     imp = np.zeros(n)
     imp[0] = 1.0
-    return ssig.lfilter(b, a, imp)
+    if a.size == 1:
+        return np.convolve(b / a[0], imp)[:n]
+    width = max(b.size, a.size)
+    bn = (np.pad(b, (0, width - b.size)) / a[0]).tolist()
+    an = (np.pad(a, (0, width - a.size)) / a[0]).tolist()
+    b_mid, a_mid = bn[1:-1], an[1:-1]
+    out = []
+    z = [0.0] * (width - 1)
+    for x in imp.tolist():
+        y = z[0] + bn[0] * x
+        z = [zj + x * bj - y * aj for zj, bj, aj in zip(z[1:], b_mid, a_mid)]
+        z.append(x * bn[-1] - y * an[-1])
+        out.append(y)
+    return np.array(out)
 
 
 def random_system(
@@ -120,8 +160,7 @@ def bandlimited_input(rng, n_samples: int) -> np.ndarray:
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     white = rng.standard_normal(n_samples)
-    taps = ssig.firwin(FILTER_TAPS, FILTER_CUTOFF)
-    shaped = ssig.lfilter(taps, 1.0, white)
+    shaped = np.convolve(_LOWPASS, white)[:n_samples]
     scale = float(np.std(shaped))
     return shaped / scale if scale > 0.0 else shaped
 

@@ -6,6 +6,7 @@ shared code path.
 """
 
 import numpy as np
+from scipy.signal import firwin, lfilter
 
 from bayesfir import (
     Batch,
@@ -59,6 +60,21 @@ def impulse_from_transfer(b, a, n):
             acc -= a[k] * out[t - k]
         out[t] = acc / a[0]
     return out
+
+
+def lfilter_impulse_response(b, a, n):
+    """First n impulse-response taps by scipy.signal.lfilter."""
+    imp = np.zeros(n)
+    imp[0] = 1.0
+    return lfilter(b, a, imp)
+
+
+def lfilter_bandlimited_input(rng, n_samples):
+    """simgen.bandlimited_input on scipy.signal's firwin and lfilter."""
+    white = rng.standard_normal(n_samples)
+    shaped = lfilter(firwin(64, 0.8), 1.0, white)
+    scale = float(np.std(shaped))
+    return shaped / scale if scale > 0.0 else shaped
 
 
 def central_diff(f, x, h):

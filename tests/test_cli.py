@@ -1,8 +1,13 @@
-"""Config resolution, CSV artifacts, subcommands, exit codes."""
+"""Config resolution, CSV artifacts, subcommands, exit codes, import cost."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bayesfir
 from bayesfir import cli
 from bayesfir.simgen import load_dataset
 
@@ -219,3 +224,19 @@ def test_csv_writes_are_atomic(tmp_path):
     assert cli.main(["single"] + base_args(tmp_path)) == 0
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_cli_import_loads_no_scipy_signal_stats_or_interpolate():
+    src_dir = os.path.dirname(os.path.dirname(bayesfir.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; import bayesfir.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bayesfir import (
+    Hyperparameters,
     MLContext,
     OnlineEstimator,
     bandlimited_input,
@@ -44,6 +45,17 @@ def test_constructor_validation():
         OnlineEstimator(8, mode="batch")
     with pytest.raises(ValueError):
         OnlineEstimator(8, method="em", lambda_only=True)
+
+
+def test_em2_batch_from_zero_eta_stays_at_zero():
+    # a warmup that ends at eta = (0, 0) must not make the next em2 batch raise
+    u, y, _ = make_stream(4, 140, n=20)
+    est = OnlineEstimator(20, method="em2")
+    est.initialize(u[:100], y[:100])
+    est._eta = Hyperparameters(0.0, 0.0)
+    snap = est.process_batch(u[100:110], y[100:110])
+    assert (snap.eta.lam, snap.eta.beta) == (0.0, 0.0)
+    np.testing.assert_array_equal(snap.h, np.zeros(20))
 
 
 def test_requires_initialization():

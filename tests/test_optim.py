@@ -230,6 +230,22 @@ def test_em1_never_exceeds_em2():
         assert em1_lambda(ctx, eta) <= em2_lambda(ctx, eta) + 1e-14
 
 
+def test_em_variants_send_lambda_to_zero_at_zero_beta():
+    # beta = 0 zeroes the kernel, so the posterior second moment is zero and
+    # the kernel inverse does not exist; the update is lam = 0, as in em_step
+    rng = np.random.default_rng(23)
+    ctx, _, _ = random_instance(rng, 20, 120)
+    for lam in (0.0, 1.0):
+        eta = Hyperparameters(lam, 0.0)
+        assert em1_lambda(ctx, eta) == 0.0
+        assert em2_lambda(ctx, eta) == 0.0
+        for method in ("em1", "em2"):
+            rep = em_variant_step(ctx, eta, method)
+            assert (rep.eta_new.lam, rep.eta_new.beta) == (0.0, 0.0)
+            assert np.isfinite(rep.ml_before) and rep.ml_after == rep.ml_before
+        assert em_step(ctx, eta).eta_new.lam == 0.0
+
+
 def test_em1_is_zero_without_signal():
     stats = SufficientStats(
         n=2, R=np.eye(2), ytilde=np.zeros(2), ybar=3.0, nbar=6, history=np.zeros(1),

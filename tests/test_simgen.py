@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.signal import firwin
 from scipy.stats import chi2
 
 from bayesfir import ExperimentConfig, bandlimited_input, fit, random_system, simulate_io
+from bayesfir import simgen
 from bayesfir.simgen import dump_dataset, impulse_response, load_dataset
 
-from oracles import impulse_from_transfer
+from oracles import (
+    impulse_from_transfer,
+    lfilter_bandlimited_input,
+    lfilter_impulse_response,
+)
 
 N_TAPS = 30
 
@@ -61,6 +67,55 @@ def test_true_response_matches_long_division():
             impulse_response(b, a, 80), impulse_from_transfer(b, a, 80),
             rtol=1e-10, atol=1e-12,
         )
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_lowpass_taps_are_firwin_bit_for_bit():
+    assert _same_bits(simgen._LOWPASS, firwin(simgen.FILTER_TAPS, simgen.FILTER_CUTOFF))
+
+
+def test_impulse_response_is_lfilter_bit_for_bit():
+    rng = np.random.default_rng(137)
+    for n in (1, 2, 80, 200):
+        for _ in range(150):
+            order = int(rng.integers(5, 11))
+            # a non-monic denominator exercises lfilter's normalization by a[0]
+            a = rng.uniform(0.2, 5.0) * np.poly(simgen._sample_in_disk(rng, order, 0.95)).real
+            b = np.concatenate([[0.0], np.poly(simgen._sample_in_disk(rng, order - 1, 1.0)).real])
+            assert _same_bits(impulse_response(b, a, n), lfilter_impulse_response(b, a, n))
+    # numerator and denominator of different lengths, and a scalar denominator
+    for lb, la in ((1, 4), (6, 3), (4, 1), (1, 1)):
+        b = rng.standard_normal(lb)
+        a = np.concatenate([[rng.uniform(0.5, 2.0)], rng.standard_normal(la - 1)])
+        assert _same_bits(impulse_response(b, a, 30), lfilter_impulse_response(b, a, 30))
+
+
+def test_bandlimited_input_is_firwin_lfilter_bit_for_bit():
+    for n_samples in (1, 63, 64, 65, 4096):
+        got = bandlimited_input(np.random.default_rng(139), n_samples)
+        ref = lfilter_bandlimited_input(np.random.default_rng(139), n_samples)
+        assert _same_bits(got, ref)
+
+
+def test_protocol_draws_match_the_scipy_path(monkeypatch):
+    def draw(seed, run):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        system = random_system(rng, 80)
+        return system, simgen.bandlimited_input(rng, 700), rng.standard_normal()
+
+    seeds = [(s, k) for s in range(3) for k in range(40)]
+    draws = [draw(s, k) for s, k in seeds]
+    monkeypatch.setattr(simgen, "impulse_response", lfilter_impulse_response)
+    monkeypatch.setattr(simgen, "bandlimited_input", lfilter_bandlimited_input)
+    for (s, k), (system, u, tail) in zip(seeds, draws):
+        ref_system, ref_u, ref_tail = draw(s, k)
+        assert system.order == ref_system.order and system.gain == ref_system.gain
+        assert _same_bits(system.h_true, ref_system.h_true)
+        # equal trailing draws: both paths consumed the generator alike
+        assert _same_bits(u, ref_u) and tail == ref_tail
 
 
 def test_undecayed_draws_are_rejected_or_disabled():
