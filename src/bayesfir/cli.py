@@ -1,11 +1,15 @@
 """Command-line benchmark harness.
 
 Three commands share one flat key=value config (every key can also be set
-with a ``--key value`` flag):
+with a ``--key value`` flag).  The config holds the experiment protocol
+only; the optimizer's step clamps, line-search rule and convergence
+thresholds are the defaults of ``optim.OptimizerConfig`` and cannot be set
+here.
 
 * ``single``     one random system, a trace per method and per batch size.
 * ``montecarlo`` repeated runs with per-run RNG streams and a summary table.
-* ``stream``     run the estimator over a recorded u,y file (no fit column).
+* ``stream``     run the estimator over a recorded u,y file (no fit column);
+                 n_total is the file's length.
 
 All randomness derives from the config seed, so the statistical content of
 every output file is reproducible; the timing columns are measured wall time
@@ -136,19 +140,6 @@ CONFIG_SCHEMA = {
     "mode": (_cast_mode, "onestep"),
     "out": (str, "."),
     "workers": (int, 1),
-    "alpha_min": (float, 1e-7),
-    "alpha_max": (float, 1e7),
-    "d_min": (float, 1e-10),
-    "d_max": (float, 1e10),
-    "tau0": (float, 0.5),
-    "armijo_c": (float, 1e-4),
-    "backtrack_factor": (float, 0.5),
-    "max_backtracks": (int, 20),
-    "beta_eps": (float, 1e-6),
-    "opt_tol": (float, 1e-6),
-    "opt_max_iter": (int, 500),
-    "em_golden_tol": (float, 1e-6),
-    "em_max_evals": (int, 100),
 }
 
 
@@ -213,28 +204,9 @@ def experiment_config(resolved: dict) -> ExperimentConfig:
             runs=resolved["runs"],
             seed=resolved["seed"],
             methods=resolved["methods"],
-            lambda_only=resolved["lambda_only"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def optimizer_config(resolved: dict) -> OptimizerConfig:
-    return OptimizerConfig(
-        alpha_min=resolved["alpha_min"],
-        alpha_max=resolved["alpha_max"],
-        d_min=resolved["d_min"],
-        d_max=resolved["d_max"],
-        tau0=resolved["tau0"],
-        armijo_c=resolved["armijo_c"],
-        backtrack_factor=resolved["backtrack_factor"],
-        max_backtracks=resolved["max_backtracks"],
-        beta_eps=resolved["beta_eps"],
-        opt_tol=resolved["opt_tol"],
-        opt_max_iter=resolved["opt_max_iter"],
-        em_golden_tol=resolved["em_golden_tol"],
-        em_max_evals=resolved["em_max_evals"],
-    )
 
 
 def run_trace(u, y, h_true, token, xcfg, ocfg, run_id, mode_override=None):
@@ -309,7 +281,6 @@ def _write_csv(path, schema, resolved, columns, rows):
 
 def cmd_single(resolved: dict) -> None:
     xcfg = experiment_config(resolved)
-    ocfg = optimizer_config(resolved)
     out = resolved["out"]
     os.makedirs(out, exist_ok=True)
     rng = np.random.default_rng(xcfg.seed)
@@ -322,7 +293,7 @@ def cmd_single(resolved: dict) -> None:
         for token in xcfg.methods:
             rows.extend(
                 run_trace(
-                    u, y, system.h_true, token, xcfg_nk, ocfg,
+                    u, y, system.h_true, token, xcfg_nk, OptimizerConfig(),
                     run_id=nk, mode_override=resolved["mode"],
                 )
             )
@@ -387,10 +358,11 @@ def summarize(rows):
 
 def cmd_montecarlo(resolved: dict) -> None:
     xcfg = experiment_config(resolved)
-    ocfg = optimizer_config(resolved)
     out = resolved["out"]
     os.makedirs(out, exist_ok=True)
-    rows = montecarlo_rows(xcfg, ocfg, mode=resolved["mode"], workers=resolved["workers"])
+    rows = montecarlo_rows(
+        xcfg, OptimizerConfig(), mode=resolved["mode"], workers=resolved["workers"]
+    )
     _write_csv(os.path.join(out, "runs.csv"), SCHEMA_TRACE, resolved, TRACE_COLUMNS, rows)
     _write_csv(
         os.path.join(out, "summary.csv"), SCHEMA_SUMMARY, resolved, SUMMARY_COLUMNS,
@@ -399,22 +371,21 @@ def cmd_montecarlo(resolved: dict) -> None:
 
 
 def cmd_stream(resolved: dict, input_path: str) -> None:
-    xcfg = experiment_config(resolved)
-    ocfg = optimizer_config(resolved)
-    out = resolved["out"]
-    os.makedirs(out, exist_ok=True)
     try:
         u, y = load_dataset(input_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if len(u) <= xcfg.n_warmup:
-        raise ConfigError(
-            f"stream has {len(u)} samples but warmup alone needs more than {xcfg.n_warmup}"
-        )
+    resolved = {**resolved, "n_total": len(u)}  # the stream's length, not the config's
+    xcfg = experiment_config(resolved)
+    out = resolved["out"]
+    os.makedirs(out, exist_ok=True)
     rows = []
     for token in xcfg.methods:
         rows.extend(
-            run_trace(u, y, None, token, xcfg, ocfg, run_id=0, mode_override=resolved["mode"])
+            run_trace(
+                u, y, None, token, xcfg, OptimizerConfig(),
+                run_id=0, mode_override=resolved["mode"],
+            )
         )
     columns = tuple(c for c in TRACE_COLUMNS if c != "fit")
     stripped = [row[:5] + row[6:] for row in rows]

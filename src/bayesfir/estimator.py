@@ -175,9 +175,7 @@ class OnlineEstimator:
         elif self.method == "em":
             eta_new = em_step(ctx, self._eta, self.config, need_ml=False).eta_new
         else:
-            eta_new = em_variant_step(
-                ctx, self._eta, self.method, self.config, need_ml=False
-            ).eta_new
+            eta_new = em_variant_step(ctx, self._eta, self.method, need_ml=False).eta_new
 
         h = posterior_mean(ctx, eta_new) if factors is None else _mean(factors)
         elapsed = time.perf_counter() - start

@@ -119,12 +119,11 @@ def _clamp_box(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def project(eta, w=None) -> Hyperparameters:
+def project(eta) -> Hyperparameters:
     """Projection of eta onto the feasible box {lam >= 0, 0 <= beta <= 1}.
 
     For an axis-aligned box and any positive diagonal metric the weighted
-    projection reduces to the componentwise clamp, so ``w`` never changes the
-    result; it is accepted to mirror the scaled-projection signature.
+    projection reduces to the componentwise clamp, so no metric is taken.
     """
     arr = eta.as_array() if isinstance(eta, Hyperparameters) else np.asarray(eta, dtype=float)
     clamped = _clamp_box(arr)
@@ -456,7 +455,6 @@ def em_variant_step(
     ctx: MLContext,
     eta: Hyperparameters,
     method: str,
-    cfg: OptimizerConfig = None,
     need_ml: bool = True,
 ) -> StepReport:
     """One lam-only EM update (beta frozen), packaged as a StepReport."""
@@ -475,23 +473,16 @@ def fresh_state(
     eta: Hyperparameters,
     cfg: OptimizerConfig = None,
     lambda_only: bool = False,
-    eta_prev: np.ndarray = None,
-    grad_prev: np.ndarray = None,
 ) -> OptimizerState:
     """Optimizer state with a usable secant seed.
 
-    Without a supplied previous iterate the seed is eta scaled by (1 + 1e-3)
-    componentwise (clamped to the box), whose gradient is evaluated on the
-    current context.
+    The seed is eta scaled by (1 + 1e-3) componentwise (clamped to the box),
+    whose gradient is evaluated on the current context.
     """
     cfg = cfg or OptimizerConfig()
     active = (0,) if lambda_only else (0, 1)
-    if eta_prev is None:
-        eta_prev = _clamp_box(eta.as_array() * (1.0 + 1e-3))
-    eta_prev = np.asarray(eta_prev, dtype=float)
-    if grad_prev is None:
-        grad_prev, _ = _eval_grad(ctx, Hyperparameters.from_array(eta_prev), active, cfg)
-    grad_prev = np.asarray(grad_prev, dtype=float)
+    eta_prev = _clamp_box(eta.as_array() * (1.0 + 1e-3))
+    grad_prev, _ = _eval_grad(ctx, Hyperparameters.from_array(eta_prev), active, cfg)
     return OptimizerState(
         eta_prev=eta_prev,
         grad_prev=grad_prev,
@@ -528,7 +519,7 @@ def opt_until_convergence(
         elif method == "em":
             rep = em_step(ctx, eta, cfg)
         else:
-            rep = em_variant_step(ctx, eta, method, cfg)
+            rep = em_variant_step(ctx, eta, method)
         eta = rep.eta_new
         iterations += 1
         if abs(rep.ml_after - rep.ml_before) <= cfg.opt_tol * (1.0 + abs(rep.ml_after)):

@@ -53,7 +53,13 @@ class TrueSystem:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark protocol knobs shared by the CLI commands."""
+    """Benchmark protocol knobs shared by the CLI commands.
+
+    ``methods`` holds CLI method tokens (cli.METHOD_TOKENS), each of which
+    already says whether it is lambda-only; ``--lambda-only`` is applied by
+    rewriting the tokens in cli.resolve_config.  The optimizer's constants
+    are not part of the protocol: they live in optim.OptimizerConfig.
+    """
 
     n: int = 80
     n_total: int = 5000
@@ -63,7 +69,6 @@ class ExperimentConfig:
     runs: int = 200
     seed: int = 0
     methods: tuple = ("bb", "sgp", "bfgs", "em", "em1", "em2", "opt")
-    lambda_only: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.n_warmup < 1 or self.n_k < 1 or self.runs < 1:

@@ -120,15 +120,9 @@ def ingest(stats: SufficientStats, batch: Batch) -> SufficientStats:
     """
     phi = regressor_rows(batch.u, stats.history, stats.n)
     psi = np.cumsum(phi, axis=1)  # rows of Phi U
-    if len(batch) == 1:
-        row = phi[0]
-        r_new = stats.R + np.outer(row, row)
-        c_new = stats.C + np.outer(psi[0], psi[0])
-        ytilde_new = stats.ytilde + row * batch.y[0]
-    else:
-        r_new = stats.R + phi.T @ phi
-        c_new = stats.C + psi.T @ psi
-        ytilde_new = stats.ytilde + phi.T @ batch.y
+    r_new = stats.R + phi.T @ phi
+    c_new = stats.C + psi.T @ psi
+    ytilde_new = stats.ytilde + phi.T @ batch.y
     ybar_new = stats.ybar + float(batch.y @ batch.y)
     history_new = np.concatenate([stats.history, batch.u])[-(stats.n - 1):] if stats.n > 1 else stats.history
     return SufficientStats(
@@ -181,8 +175,8 @@ def ls_estimate(stats: SufficientStats) -> np.ndarray:
     return h
 
 
-def noise_variance(stats: SufficientStats, h_ls: np.ndarray, floor: float = NOISE_FLOOR) -> float:
-    """Residual noise variance (ybar - 2 ytilde'h + h'Rh) / (nbar - n), floored.
+def noise_variance(stats: SufficientStats, h_ls: np.ndarray) -> float:
+    """Residual noise variance (ybar - 2 ytilde'h + h'Rh) / (nbar - n), floored at NOISE_FLOOR.
 
     The least-squares residual can round to zero (or slightly below) on
     noise-free data; the floor keeps downstream likelihood evaluations
@@ -192,7 +186,7 @@ def noise_variance(stats: SufficientStats, h_ls: np.ndarray, floor: float = NOIS
         raise ValueError(f"noise variance needs nbar > n, got nbar={stats.nbar}, n={stats.n}")
     h_ls = np.asarray(h_ls, dtype=float)
     rss = stats.ybar - 2.0 * float(stats.ytilde @ h_ls) + float(h_ls @ stats.R @ h_ls)
-    return max(rss / (stats.nbar - stats.n), floor)
+    return max(rss / (stats.nbar - stats.n), NOISE_FLOOR)
 
 
 def sherman_morrison_inverse_update(rinv: np.ndarray, row: np.ndarray) -> np.ndarray:

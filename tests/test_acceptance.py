@@ -182,7 +182,7 @@ def test_criterion_6_secant_feasibility_and_armijo_suites():
                 if method == "em":
                     rep = em_step(ctx, eta, CFG, need_ml=False)
                 else:
-                    rep = em_variant_step(ctx, eta, method, CFG, need_ml=False)
+                    rep = em_variant_step(ctx, eta, method, need_ml=False)
                 all_feasible &= rep.eta_new.lam >= 0.0 and 0.0 <= rep.eta_new.beta <= 1.0
                 feasible_cases += 1
                 eta = rep.eta_new

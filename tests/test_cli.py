@@ -3,13 +3,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import bayesfir
 from bayesfir import cli
-from bayesfir.simgen import load_dataset
+from bayesfir.optim import OptimizerConfig
+from bayesfir.simgen import dump_dataset, load_dataset
 
 BASE = {
     "n": "20",
@@ -95,6 +97,19 @@ def test_config_file_parsing(tmp_path):
     ugly.write_text("n 10\n")
     with pytest.raises(cli.ConfigError, match="line 1"):
         cli.parse_config_file(str(ugly))
+
+
+def test_optimizer_constants_are_not_config_keys(tmp_path):
+    # the optimizer's constants live in OptimizerConfig alone: a config file
+    # or a flag that names one is refused
+    for name in (f.name for f in fields(OptimizerConfig)):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(f"n = 10\n{name} = 1e-8\n")
+        with pytest.raises(cli.ConfigError, match="line 2"):
+            cli.parse_config_file(str(path))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["single", f"--{name.replace('_', '-')}", "1e-8", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 def strip_timing(path):
@@ -199,6 +214,19 @@ def test_stream_input_errors_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("u,y\n")
     assert cli.main(["stream", str(empty)]) == 2
+
+
+def test_stream_length_sets_n_total(tmp_path):
+    # a warmup longer than the configured n_total is fine: a stream runs
+    # over the whole file, whatever n_total says
+    rng = np.random.default_rng(5)
+    dump_dataset(tmp_path / "long.csv", rng.standard_normal(6100), rng.standard_normal(6100))
+    argv = ["stream", "--n", "4", "--nk", "50", "--n-warmup", "6000", "--methods", "sgp",
+            "--out", str(tmp_path), str(tmp_path / "long.csv")]
+    assert cli.main(argv) == 0
+    header, _, rows = read_csv(tmp_path / "stream_trace.csv")
+    assert " n_total=6100 " in header[1]
+    assert [r[3] for r in rows] == ["1", "2"]
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
