@@ -8,42 +8,8 @@ independent of stream length.
 
 from .estimator import EstimateSnapshot, OnlineEstimator
 from .kernel import Hyperparameters, NotPositiveDefiniteError
-from .likelihood import (
-    MLContext,
-    NonFiniteLikelihoodError,
-    grad_neg_log_ml,
-    neg_log_ml,
-    posterior_moments,
-)
-from .optim import (
-    OptimizerConfig,
-    bb_stepsize,
-    bfgs_update,
-    em1_lambda,
-    em2_lambda,
-    em_step,
-    gradient_step,
-    opt_until_convergence,
-    project,
-    sgp_scaling,
-)
-from .simgen import (
-    ExperimentConfig,
-    bandlimited_input,
-    fit,
-    random_system,
-    simulate_io,
-)
-from .stats import (
-    Batch,
-    IllConditionedUpdateError,
-    RankDeficientError,
-    SufficientStats,
-    ingest,
-    ls_estimate,
-    noise_variance,
-    regressor_rows,
-    sherman_morrison_inverse_update,
-)
+from .likelihood import NonFiniteLikelihoodError
+from .optim import OptimizerConfig
+from .stats import RankDeficientError
 
 __version__ = "0.1.0"

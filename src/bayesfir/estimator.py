@@ -125,9 +125,7 @@ class OnlineEstimator:
         lam0 = stats.ybar / (stats.nbar * self.n)
         eta0 = Hyperparameters(lam0, BETA0)
         ctx = MLContext(stats, sigma2)
-        eta, info = opt_until_convergence(
-            ctx, eta0, "sgp", self.config, return_info=True
-        )
+        eta, info = opt_until_convergence(ctx, eta0, "sgp", self.config)
         active = (0,) if self.lambda_only else (0, 1)
         state = OptimizerState(
             eta_prev=info.state.eta_prev.copy(),
@@ -164,7 +162,7 @@ class OnlineEstimator:
             # optimum, so its cost reflects a from-scratch solve.
             lam0 = new_stats.ybar / (new_stats.nbar * self.n)
             beta0 = self._eta.beta if self.lambda_only else BETA0
-            eta_new = opt_until_convergence(
+            eta_new, _ = opt_until_convergence(
                 ctx, Hyperparameters(lam0, beta0), self.method, self.config,
                 lambda_only=self.lambda_only,
             )

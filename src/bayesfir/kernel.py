@@ -93,15 +93,6 @@ def unit_kernel_inverse_bands(n: int, beta: float):
     return diag, offdiag
 
 
-def unit_kernel_logdet(n: int, beta: float) -> float:
-    """log det of the unit-scale kernel: (n(n+1)/2) ln beta + (n-1) ln(1-beta)."""
-    if n < 1:
-        raise ValueError(f"kernel order must be >= 1, got {n}")
-    if beta <= 0.0 or (n >= 2 and beta >= 1.0):
-        raise NotPositiveDefiniteError(f"unit kernel is singular at beta={beta!r}, n={n}")
-    return 0.5 * n * (n + 1) * np.log(beta) + (n - 1) * np.log1p(-beta)
-
-
 def tc_block_weights(n: int, beta: float) -> np.ndarray:
     """Weights c >= 0 with the unit-scale kernel beta ** max(i, j) == sum_m c[m] * B_m.
 

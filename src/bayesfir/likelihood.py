@@ -1,8 +1,8 @@
-"""Marginal likelihood, gradient split, and posterior moments in compressed form.
+"""Marginal likelihood, gradient split, posterior mean and second-moment bands.
 
-All three quantities are functions of the sufficient statistics only, never of
-the raw N-sample data, so each evaluation costs O(n^3) regardless of how much
-data has streamed past.  The TC kernel's closed-form square root
+All four are functions of the sufficient statistics only, never of the raw
+N-sample data, so each evaluation costs O(n^3) regardless of how much data
+has streamed past.  The TC kernel's closed-form square root
 L = U diag(d), d = sqrt(lam * c) (see kernel.tc_block_weights), turns every
 kernel product into a weighting of two per-batch constants:
 
@@ -82,11 +82,6 @@ class GradientSplit:
     @property
     def grad(self) -> np.ndarray:
         return self.V - self.U
-
-
-class PosteriorMoments(NamedTuple):
-    mean: np.ndarray
-    cov: np.ndarray
 
 
 class _Factors(NamedTuple):
@@ -184,7 +179,15 @@ def _lambda_terms(ctx: MLContext, f: _Factors, sinv: np.ndarray):
 
 
 def _split(ctx: MLContext, f: _Factors) -> GradientSplit:
-    """Sign-split gradient at f.eta from its factor (see grad_neg_log_ml)."""
+    """Sign-split gradient (V, U) of the negative log marginal likelihood at f.eta.
+
+    f.eta must be interior.  The beta component is assembled blockwise: the
+    derivative kernel d K_b / d beta decomposes over leading-block indicators
+    with weights of either sign (kernel.dbeta_block_weights), and each block
+    contributes a nonnegative trace and a nonnegative quadratic term, routed
+    to V or U according to the weight's sign so that V > 0, U >= 0 and
+    grad = V - U.
+    """
     eta = f.eta
     _require_interior(eta)
     sinv = _inverse(f)
@@ -213,7 +216,10 @@ def _split(ctx: MLContext, f: _Factors) -> GradientSplit:
 
 
 def _lambda_split(ctx: MLContext, f: _Factors) -> tuple:
-    """(V_lam, U_lam) at f.eta from its factor (see grad_lambda_only)."""
+    """(V_lam, U_lam) at an interior f.eta without the beta machinery.
+
+    The cheap path for frozen beta.
+    """
     _require_interior(f.eta)
     v_lam, u_lam, _ = _lambda_terms(ctx, f, _inverse(f))
     if not (math.isfinite(v_lam) and math.isfinite(u_lam)):
@@ -243,35 +249,6 @@ def neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> float:
     return _value(ctx, _factorize(ctx, eta))
 
 
-def grad_neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> GradientSplit:
-    """Sign-split gradient (V, U) of neg_log_ml at an interior eta.
-
-    The beta component is assembled blockwise: the derivative kernel
-    d K_b / d beta decomposes over leading-block indicators with weights of
-    either sign (kernel.dbeta_block_weights), and each block contributes a
-    nonnegative trace and a nonnegative quadratic term, routed to V or U
-    according to the weight's sign so that V > 0, U >= 0 and grad = V - U.
-    """
-    return _split(ctx, _factorize(ctx, eta))
-
-
-def grad_lambda_only(ctx: MLContext, eta: Hyperparameters) -> tuple:
-    """(V_lam, U_lam) without the beta machinery; the cheap path for frozen beta."""
-    return _lambda_split(ctx, _factorize(ctx, eta))
-
-
 def posterior_mean(ctx: MLContext, eta: Hyperparameters) -> np.ndarray:
     """Posterior mean (R + sigma2 K^-1)^-1 ytilde; zero at lam = 0."""
     return _mean(_factorize(ctx, eta))
-
-
-def posterior_moments(ctx: MLContext, eta: Hyperparameters) -> PosteriorMoments:
-    """Posterior mean and covariance (R/sigma2 + K^-1)^-1.
-
-    Evaluated through the square root of K, so lam = 0 cleanly returns the
-    degenerate prior's answer: zero mean and zero covariance.  The covariance
-    costs O(n^3); callers that need the mean alone use posterior_mean.
-    """
-    f = _factorize(ctx, eta)
-    w = _posterior_root(f, _inverse(f))
-    return PosteriorMoments(mean=_mean(f), cov=ctx.sigma2 * (w.T @ w))

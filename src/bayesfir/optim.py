@@ -119,17 +119,6 @@ def _clamp_box(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def project(eta) -> Hyperparameters:
-    """Projection of eta onto the feasible box {lam >= 0, 0 <= beta <= 1}.
-
-    For an axis-aligned box and any positive diagonal metric the weighted
-    projection reduces to the componentwise clamp, so no metric is taken.
-    """
-    arr = eta.as_array() if isinstance(eta, Hyperparameters) else np.asarray(eta, dtype=float)
-    clamped = _clamp_box(arr)
-    return Hyperparameters(clamped[0], clamped[1])
-
-
 def _interior(eta: Hyperparameters, cfg: OptimizerConfig) -> Hyperparameters:
     lam = max(eta.lam, GRAD_LAMBDA_FLOOR)
     beta = min(max(eta.beta, cfg.beta_eps), 1.0 - cfg.beta_eps)
@@ -217,12 +206,6 @@ def _grad_at(ctx: MLContext, eta: Hyperparameters, active: tuple, cfg: Optimizer
         return np.array([v_lam - u_lam]), np.array([v_lam]), f
     split = _split(ctx, f)
     return split.grad, split.V, f
-
-
-def _eval_grad(ctx: MLContext, eta: Hyperparameters, active: tuple, cfg: OptimizerConfig):
-    """(grad, V) on the active coordinates, at the interior-clamped eta."""
-    grad, v, _ = _grad_at(ctx, eta, active, cfg)
-    return grad, v
 
 
 def gradient_step(
@@ -427,7 +410,11 @@ def em_step(
 
 
 def _variant_lambda(ctx: MLContext, f: likelihood._Factors, method: str) -> float:
-    """lam update of em1 (mean only) or em2 (mean and covariance) at f.eta."""
+    """lam update at f.eta with beta frozen.
+
+    em1 drops the posterior covariance, h'K_b^-1 h / n; em2 is the exact
+    fixed-beta EM update (h'K_b^-1 h + Tr(K_b^-1 P)) / n.
+    """
     if method == "em1":
         h = _mean(f)
         diag, off = h * h, h[:-1] * h[1:]
@@ -439,16 +426,6 @@ def _variant_lambda(ctx: MLContext, f: likelihood._Factors, method: str) -> floa
         return 0.0
     n = ctx.stats.n
     return _inverse_kernel_trace(n, f.eta.beta, diag, off) / n
-
-
-def em1_lambda(ctx: MLContext, eta: Hyperparameters) -> float:
-    """lam update h'K_b^-1 h / n: EM with the posterior-covariance term dropped."""
-    return _variant_lambda(ctx, likelihood._factorize(ctx, eta), "em1")
-
-
-def em2_lambda(ctx: MLContext, eta: Hyperparameters) -> float:
-    """Exact fixed-beta EM update (h'K_b^-1 h + Tr(K_b^-1 P)) / n."""
-    return _variant_lambda(ctx, likelihood._factorize(ctx, eta), "em2")
 
 
 def em_variant_step(
@@ -482,7 +459,7 @@ def fresh_state(
     cfg = cfg or OptimizerConfig()
     active = (0,) if lambda_only else (0, 1)
     eta_prev = _clamp_box(eta.as_array() * (1.0 + 1e-3))
-    grad_prev, _ = _eval_grad(ctx, Hyperparameters.from_array(eta_prev), active, cfg)
+    grad_prev, _, _ = _grad_at(ctx, Hyperparameters.from_array(eta_prev), active, cfg)
     return OptimizerState(
         eta_prev=eta_prev,
         grad_prev=grad_prev,
@@ -497,13 +474,13 @@ def opt_until_convergence(
     method: str = "sgp",
     cfg: OptimizerConfig = None,
     lambda_only: bool = False,
-    return_info: bool = False,
 ):
     """Iterate the chosen updater on fixed data until the objective settles.
 
     Stops when |L_j - L_{j-1}| <= opt_tol * (1 + |L_j|) or after opt_max_iter
-    iterations.  With return_info=True also returns the final optimizer state
-    (whose eta_prev/grad_prev form a secant seed) and the iteration count.
+    iterations.  Returns (eta, OptInfo): the final optimizer state (whose
+    eta_prev/grad_prev form a secant seed; None for EM) and the iteration
+    count.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -524,6 +501,4 @@ def opt_until_convergence(
         iterations += 1
         if abs(rep.ml_after - rep.ml_before) <= cfg.opt_tol * (1.0 + abs(rep.ml_after)):
             break
-    if return_info:
-        return eta, OptInfo(state=state, iterations=iterations)
-    return eta
+    return eta, OptInfo(state=state, iterations=iterations)

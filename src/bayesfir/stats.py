@@ -22,15 +22,10 @@ from scipy.linalg import lapack
 
 RIDGE_SCALE = 1e-8
 NOISE_FLOOR = 1e-12
-SM_DENOM_FLOOR = 1e-12
 
 
 class RankDeficientError(np.linalg.LinAlgError):
     """Normal matrix R is numerically singular with nbar >= n samples."""
-
-
-class IllConditionedUpdateError(np.linalg.LinAlgError):
-    """Rank-one inverse update hit a vanishing denominator."""
 
 
 @dataclass(frozen=True)
@@ -187,16 +182,3 @@ def noise_variance(stats: SufficientStats, h_ls: np.ndarray) -> float:
     h_ls = np.asarray(h_ls, dtype=float)
     rss = stats.ybar - 2.0 * float(stats.ytilde @ h_ls) + float(h_ls @ stats.R @ h_ls)
     return max(rss / (stats.nbar - stats.n), NOISE_FLOOR)
-
-
-def sherman_morrison_inverse_update(rinv: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Inverse of R + row row' given rinv = inv(R), via the rank-one identity."""
-    row = np.asarray(row, dtype=float)
-    rv = rinv @ row
-    denom = 1.0 + float(row @ rv)
-    if denom <= SM_DENOM_FLOOR:
-        raise IllConditionedUpdateError(
-            f"rank-one update denominator {denom:.3e} below {SM_DENOM_FLOOR:.0e}; refactorize"
-        )
-    out = rinv - np.outer(rv, rv) / denom
-    return 0.5 * (out + out.T)

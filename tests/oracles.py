@@ -8,15 +8,9 @@ shared code path.
 import numpy as np
 from scipy.signal import firwin, lfilter
 
-from bayesfir import (
-    Batch,
-    Hyperparameters,
-    MLContext,
-    SufficientStats,
-    ingest,
-    ls_estimate,
-    noise_variance,
-)
+from bayesfir.kernel import Hyperparameters
+from bayesfir.likelihood import MLContext
+from bayesfir.stats import Batch, SufficientStats, ingest, ls_estimate, noise_variance
 
 
 def dense_tc_kernel(n, lam, beta):
@@ -26,6 +20,11 @@ def dense_tc_kernel(n, lam, beta):
         for j in range(n):
             k[i, j] = lam * beta ** max(i + 1, j + 1)
     return k
+
+
+def unit_kernel_logdet(n, beta):
+    """log det of beta**max(i, j) in closed form: (n(n+1)/2) ln beta + (n-1) ln(1-beta)."""
+    return 0.5 * n * (n + 1) * np.log(beta) + (n - 1) * np.log1p(-beta)
 
 
 def dense_regressors(u, n):
@@ -47,6 +46,18 @@ def dense_neg_log_ml(u, y, n, lam, beta, sigma2):
     assert sign > 0.0
     y = np.asarray(y, dtype=float)
     return float(y @ np.linalg.solve(cov, y)) + float(logdet)
+
+
+def dense_posterior(ctx, eta):
+    """Posterior mean (R + sigma2 K^-1)^-1 ytilde and covariance (R/sigma2 + K^-1)^-1.
+
+    Formed with numpy.linalg from the explicit kernel inverse, so eta must be
+    interior.
+    """
+    kinv = np.linalg.inv(dense_tc_kernel(ctx.stats.n, eta.lam, eta.beta))
+    mean = np.linalg.solve(ctx.stats.R + ctx.sigma2 * kinv, ctx.stats.ytilde)
+    cov = np.linalg.inv(ctx.stats.R / ctx.sigma2 + kinv)
+    return mean, cov
 
 
 def impulse_from_transfer(b, a, n):

@@ -12,29 +12,30 @@ import numpy as np
 import pytest
 
 from bayesfir.cli import montecarlo_rows
-from bayesfir.likelihood import (
-    Hyperparameters,
-    grad_lambda_only,
-    grad_neg_log_ml,
-    neg_log_ml,
-    posterior_moments,
-)
+from bayesfir.kernel import Hyperparameters
+from bayesfir.likelihood import _factorize, _lambda_split, _mean, _moment_bands, neg_log_ml
 from bayesfir.optim import (
     OptimizerConfig,
-    _eval_grad,
+    _grad_at,
     _inverse_kernel_trace,
     bfgs_update,
     em_step,
     em_variant_step,
-    em2_lambda,
     fresh_state,
     gradient_step,
     opt_until_convergence,
 )
 from bayesfir.simgen import ExperimentConfig
-from bayesfir.stats import Batch, SufficientStats, ingest, sherman_morrison_inverse_update
+from bayesfir.stats import Batch, SufficientStats, ingest
 
-from oracles import central_diff, dense_tc_kernel, dense_neg_log_ml, random_eta, random_instance
+from oracles import (
+    central_diff,
+    dense_neg_log_ml,
+    dense_regressors,
+    dense_tc_kernel,
+    random_eta,
+    random_instance,
+)
 
 CFG = OptimizerConfig()
 
@@ -72,7 +73,7 @@ def test_criterion_2_gradient_matches_finite_differences():
         n = int(rng.integers(2, 9))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 10, 61)))
         eta = random_eta(rng)
-        grad = grad_neg_log_ml(ctx, eta).grad
+        grad, _, _ = _grad_at(ctx, eta, (0, 1), CFG)
         fd_lam = central_diff(lambda x: neg_log_ml(ctx, Hyperparameters(x, eta.beta)), eta.lam, 1e-6 * eta.lam)
         fd_beta = central_diff(
             lambda x: neg_log_ml(ctx, Hyperparameters(eta.lam, x)), eta.beta, 1e-6 * min(eta.beta, 1.0 - eta.beta)
@@ -92,9 +93,10 @@ def test_criterion_3_lambda_gradient_step_equals_em2_update():
         n = int(rng.integers(2, 13))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 10, 121)))
         eta = random_eta(rng)
-        v, u = grad_lambda_only(ctx, eta)
+        # the lam-only gradient pieces that _grad_at computes for beta frozen
+        v, u = _lambda_split(ctx, _factorize(ctx, eta))
         stepped = eta.lam - (eta.lam ** 2 / n) * (v - u)
-        target = em2_lambda(ctx, eta)
+        target = em_variant_step(ctx, eta, "em2", need_ml=False).eta_new.lam
         worst = max(worst, abs(stepped - target) / abs(target))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 30.0
@@ -107,9 +109,12 @@ def test_criterion_4_posterior_trace_matches_logdet_derivative():
     for _ in range(20):
         n = int(rng.integers(3, 11))
         ctx, _, _ = random_instance(rng, n, n * 10 + 20)
-        eta = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * n), 0.9))
-        cov = posterior_moments(ctx, eta).cov
-        z = _inverse_kernel_trace(n, eta.beta, np.diag(cov).copy(), np.diag(cov, 1).copy())
+        eta, _ = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * n), 0.9))
+        # the bands of P = M - h h' from the second moment M that EM reads
+        f = _factorize(ctx, eta)
+        m_diag, m_off = _moment_bands(ctx, f)
+        h = _mean(f)
+        z = _inverse_kernel_trace(n, eta.beta, m_diag - h * h, m_off - h[:-1] * h[1:])
         kinv = np.linalg.inv(dense_tc_kernel(n, 1.0, eta.beta))
         a = 1.0 / eta.lam
 
@@ -170,7 +175,7 @@ def test_criterion_6_secant_feasibility_and_armijo_suites():
                 all_feasible &= rep.eta_new.lam >= 0.0 and 0.0 <= rep.eta_new.beta <= 1.0
                 feasible_cases += 1
                 if rep.gamma > 0.0:
-                    grad_act, _ = _eval_grad(ctx, eta, (0, 1), CFG)
+                    grad_act, _, _ = _grad_at(ctx, eta, (0, 1), CFG)
                     moved = rep.eta_new.as_array() - eta.as_array()
                     slack = rep.ml_after - rep.ml_before - CFG.armijo_c * float(grad_act @ moved)
                     worst_armijo = max(worst_armijo, slack / (1.0 + abs(rep.ml_before)))
@@ -198,15 +203,23 @@ def test_criterion_6_secant_feasibility_and_armijo_suites():
 
 def test_criterion_7_rank_one_update_and_batch_split_invariance():
     rng = np.random.default_rng(707)
-    worst_sm = 0.0
+    # a one-sample batch is a rank-one update of R and of C = U'RU
+    worst_rank_one = 0.0
     for _ in range(200):
-        d = int(rng.integers(2, 11))
-        m = rng.normal(size=(d + 3, d))
-        a = m.T @ m + np.eye(d)
-        row = rng.normal(size=d) * float(10.0 ** rng.integers(-2, 3))
-        upd = sherman_morrison_inverse_update(np.linalg.inv(a), row)
-        direct = np.linalg.inv(a + np.outer(row, row))
-        worst_sm = max(worst_sm, np.max(np.abs(upd - direct)) / (1.0 + np.max(np.abs(direct))))
+        n = int(rng.integers(2, 11))
+        prefix = int(rng.integers(0, 3 * n))
+        u = rng.standard_normal(prefix + 1)
+        y = rng.standard_normal(prefix + 1)
+        u[-1] *= float(10.0 ** rng.integers(-2, 3))
+        stats = SufficientStats.empty(n)
+        if prefix:
+            stats = ingest(stats, Batch(u[:-1], y[:-1]))
+        stats = ingest(stats, Batch(u[-1:], y[-1:]))
+        phi = dense_regressors(u, n)
+        r = phi.T @ phi
+        c = np.cumsum(np.cumsum(r, axis=0), axis=1)
+        for got, want in ((stats.R, r), (stats.C, c)):
+            worst_rank_one = max(worst_rank_one, np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want))))
     worst_split = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 13))
@@ -226,11 +239,11 @@ def test_criterion_7_rank_one_update_and_batch_split_invariance():
             float(np.max(np.abs(acc.history - whole.history))),
             float(abs(acc.nbar - whole.nbar)),
         )
-    ok = worst_sm <= 1e-8 and worst_split <= 1e-10
+    ok = worst_rank_one <= 1e-8 and worst_split <= 1e-10
     _verdict(
         7,
         ok,
-        f"rank-one worst err {worst_sm:.2e} (<=1e-8, 200 draws); "
+        f"one-sample ingest worst err {worst_rank_one:.2e} (<=1e-8, 200 draws); "
         f"split worst rel {worst_split:.2e} (<=1e-10, 50 partitions)",
     )
 

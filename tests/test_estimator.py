@@ -3,20 +3,12 @@
 import numpy as np
 import pytest
 
-from bayesfir import (
-    Hyperparameters,
-    MLContext,
-    OnlineEstimator,
-    bandlimited_input,
-    noise_variance,
-    posterior_moments,
-    random_system,
-    simulate_io,
-)
+from bayesfir import Hyperparameters, OnlineEstimator
 from bayesfir import estimator, likelihood
-from bayesfir.likelihood import posterior_mean
+from bayesfir.likelihood import MLContext, posterior_mean
 from bayesfir.optim import OptimizerConfig, _interior
-from bayesfir.stats import ls_estimate
+from bayesfir.simgen import bandlimited_input, random_system, simulate_io
+from bayesfir.stats import ls_estimate, noise_variance
 
 from oracles import dense_regressors
 
@@ -100,7 +92,7 @@ def test_snapshot_matches_posterior_at_committed_state():
     snaps = run_stream(est, u, y, warm=70, nk=15)
     ctx = MLContext(est._stats, est._sigma2)
     np.testing.assert_allclose(
-        snaps[-1].h, posterior_moments(ctx, est._eta).mean, rtol=1e-10, atol=1e-12
+        snaps[-1].h, posterior_mean(ctx, est._eta), rtol=1e-10, atol=1e-12
     )
 
 
@@ -120,7 +112,7 @@ def test_pure_noise_warmup_shrinks_hard():
     est.initialize(u, y)
     h_ls = ls_estimate(est._stats)
     ctx = MLContext(est._stats, est._sigma2)
-    h_bayes = posterior_moments(ctx, est._eta).mean
+    h_bayes = posterior_mean(ctx, est._eta)
     assert np.linalg.norm(h_bayes) < 0.5 * np.linalg.norm(h_ls)
 
 

@@ -1,4 +1,4 @@
-"""Marginal-likelihood value, gradient split, and posterior moments."""
+"""Marginal-likelihood value, gradient split, posterior mean and second-moment bands."""
 
 import time
 
@@ -6,25 +6,23 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from bayesfir import (
-    Batch,
-    Hyperparameters,
+from bayesfir.kernel import Hyperparameters, tc_block_weights
+from bayesfir.likelihood import (
     MLContext,
     NonFiniteLikelihoodError,
-    SufficientStats,
-    grad_neg_log_ml,
-    gradient_step,
-    ingest,
-    ls_estimate,
+    _factorize,
+    _lambda_split,
+    _moment_bands,
+    _split,
     neg_log_ml,
-    noise_variance,
-    posterior_moments,
+    posterior_mean,
 )
-from bayesfir.kernel import tc_block_weights
-from bayesfir.likelihood import grad_lambda_only, posterior_mean
-from bayesfir.optim import OptimizerConfig, _eval_grad, fresh_state
+from bayesfir.optim import OptimizerConfig, _grad_at, fresh_state, gradient_step
+from bayesfir.stats import Batch, SufficientStats, ingest, ls_estimate, noise_variance
 
-from oracles import dense_neg_log_ml, dense_tc_kernel, random_eta, random_instance
+from oracles import dense_neg_log_ml, dense_posterior, random_eta, random_instance
+
+CFG = OptimizerConfig()
 
 
 def scalar_context():
@@ -80,7 +78,7 @@ def test_gradient_matches_finite_differences():
         n = int(rng.integers(2, 7))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 8, 40)))
         eta = random_eta(rng)
-        grad = grad_neg_log_ml(ctx, eta).grad
+        grad = _split(ctx, _factorize(ctx, eta)).grad
         for comp in range(2):
             h = 1e-6 * (1.0 + abs(eta.as_array()[comp]))
 
@@ -99,11 +97,12 @@ def test_gradient_split_signs_and_sum():
     for _ in range(10):
         ctx, _, _ = random_instance(rng, 5, 30)
         eta = random_eta(rng)
-        split = grad_neg_log_ml(ctx, eta)
+        f = _factorize(ctx, eta)
+        split = _split(ctx, f)
         assert np.all(split.V > 0.0)
         assert np.all(split.U >= 0.0)
         np.testing.assert_array_equal(split.grad, split.V - split.U)
-        v_lam, u_lam = grad_lambda_only(ctx, eta)
+        v_lam, u_lam = _lambda_split(ctx, f)
         assert abs(v_lam - split.V[0]) < 1e-10 * (1.0 + abs(v_lam))
         assert abs(u_lam - split.U[0]) < 1e-10 * (1.0 + abs(u_lam))
 
@@ -118,7 +117,7 @@ def test_gradient_vanishes_at_profile_minimum():
         bounds=(1e-6 * scale, 1e3 * scale), method="bounded",
         options={"xatol": 1e-12 * scale},
     )
-    v_lam, u_lam = grad_lambda_only(ctx, Hyperparameters(res.x, beta))
+    v_lam, u_lam = _lambda_split(ctx, _factorize(ctx, Hyperparameters(res.x, beta)))
     assert abs(v_lam - u_lam) < 1e-3 * v_lam
 
 
@@ -126,16 +125,17 @@ def test_gradient_positive_for_oversized_lambda():
     rng = np.random.default_rng(27)
     ctx, _, _ = random_instance(rng, 4, 30)
     eta = Hyperparameters(1e8 * ctx.stats.ybar, 0.7)
-    assert grad_neg_log_ml(ctx, eta).grad[0] > 0.0
+    assert _split(ctx, _factorize(ctx, eta)).grad[0] > 0.0
 
 
 def test_gradient_requires_interior_eta():
     ctx = scalar_context()
     for eta in (Hyperparameters(0.0, 0.5), Hyperparameters(1.0, 0.0), Hyperparameters(1.0, 1.0)):
+        f = _factorize(ctx, eta)
         with pytest.raises(ValueError):
-            grad_neg_log_ml(ctx, eta)
+            _split(ctx, f)
         with pytest.raises(ValueError):
-            grad_lambda_only(ctx, eta)
+            _lambda_split(ctx, f)
 
 
 def test_overflowing_kernel_reports_non_finite():
@@ -163,15 +163,18 @@ def test_overflowing_eta_raises_non_finite_everywhere():
     # ValueError, LinAlgError or a NaN result
     ctx = overflow_context()
     eta = Hyperparameters(1e300, 0.9)
-    for fn in (neg_log_ml, grad_neg_log_ml, grad_lambda_only, posterior_mean, posterior_moments):
+    for fn in (neg_log_ml, posterior_mean, _factorize):
         with pytest.raises(NonFiniteLikelihoodError):
             fn(ctx, eta)
+    for active in ((0,), (0, 1)):
+        with pytest.raises(NonFiniteLikelihoodError):
+            _grad_at(ctx, eta, active, CFG)
 
 
 def test_gradient_step_skips_overflowing_candidates():
     ctx = overflow_context()
     eta0 = Hyperparameters(1e-6, 0.9)
-    (grad,), _ = _eval_grad(ctx, eta0, (0,), OptimizerConfig())
+    (grad,), _, _ = _grad_at(ctx, eta0, (0,), CFG)
     assert grad < 0.0
     # a fixed step length that sends the first candidate to lam ~ 1e300
     alpha = 1e300 / -grad
@@ -186,10 +189,13 @@ def test_gradient_step_skips_overflowing_candidates():
 
 
 def test_posterior_scalar_example():
+    # mean 1/2 and covariance 1/2, so the second moment is 1/2 + 1/4
     ctx = scalar_context()
-    post = posterior_moments(ctx, Hyperparameters(1.0, 1.0))
-    np.testing.assert_allclose(post.mean, [0.5])
-    np.testing.assert_allclose(post.cov, [[0.5]])
+    f = _factorize(ctx, Hyperparameters(1.0, 1.0))
+    np.testing.assert_allclose(posterior_mean(ctx, f.eta), [0.5])
+    diag, off = _moment_bands(ctx, f)
+    np.testing.assert_allclose(diag, [0.75])
+    assert off.shape == (0,)
 
 
 def test_posterior_matches_direct_solve():
@@ -198,25 +204,27 @@ def test_posterior_matches_direct_solve():
         n = int(rng.integers(2, 7))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 8, 40)))
         eta = random_eta(rng)
-        post = posterior_moments(ctx, eta)
-        kinv = np.linalg.inv(dense_tc_kernel(n, eta.lam, eta.beta))
-        mean = np.linalg.solve(ctx.stats.R + ctx.sigma2 * kinv, ctx.stats.ytilde)
-        cov = np.linalg.inv(ctx.stats.R / ctx.sigma2 + kinv)
-        np.testing.assert_allclose(post.mean, mean, rtol=1e-8, atol=1e-10)
-        np.testing.assert_allclose(post.cov, cov, rtol=1e-7, atol=1e-10)
-        np.testing.assert_allclose(post.cov, post.cov.T)
+        mean, cov = dense_posterior(ctx, eta)
+        np.testing.assert_allclose(posterior_mean(ctx, eta), mean, rtol=1e-8, atol=1e-10)
+        # the two bands of the second moment M = P + h h' are all EM reads of P
+        second = cov + np.outer(mean, mean)
+        diag, off = _moment_bands(ctx, _factorize(ctx, eta))
+        np.testing.assert_allclose(diag, np.diag(second), rtol=1e-7, atol=1e-10)
+        np.testing.assert_allclose(off, np.diag(second, 1), rtol=1e-7, atol=1e-10)
 
 
 def test_posterior_degenerate_and_dominated_cases():
     rng = np.random.default_rng(37)
     ctx, _, _ = random_instance(rng, 4, 30)
-    post = posterior_moments(ctx, Hyperparameters(0.0, 0.5))
-    np.testing.assert_array_equal(post.mean, np.zeros(4))
-    np.testing.assert_array_equal(post.cov, np.zeros((4, 4)))
+    degenerate = Hyperparameters(0.0, 0.5)
+    np.testing.assert_array_equal(posterior_mean(ctx, degenerate), np.zeros(4))
+    diag, off = _moment_bands(ctx, _factorize(ctx, degenerate))
+    np.testing.assert_array_equal(diag, np.zeros(4))
+    np.testing.assert_array_equal(off, np.zeros(3))
     # enormous noise floor shrinks the estimate toward the prior mean
     loud = MLContext(ctx.stats, 1e9 * ctx.sigma2)
-    shrunk = posterior_moments(loud, Hyperparameters(1.0, 0.7))
-    assert np.linalg.norm(shrunk.mean) < 1e-6 * np.linalg.norm(posterior_moments(ctx, Hyperparameters(1.0, 0.7)).mean)
+    shrunk = posterior_mean(loud, Hyperparameters(1.0, 0.7))
+    assert np.linalg.norm(shrunk) < 1e-6 * np.linalg.norm(posterior_mean(ctx, Hyperparameters(1.0, 0.7)))
 
 
 def test_evaluation_cost_ignores_stream_length():

@@ -5,9 +5,17 @@ import pytest
 from scipy.signal import firwin
 from scipy.stats import chi2
 
-from bayesfir import ExperimentConfig, bandlimited_input, fit, random_system, simulate_io
 from bayesfir import simgen
-from bayesfir.simgen import dump_dataset, impulse_response, load_dataset
+from bayesfir.simgen import (
+    ExperimentConfig,
+    bandlimited_input,
+    dump_dataset,
+    fit,
+    impulse_response,
+    load_dataset,
+    random_system,
+    simulate_io,
+)
 
 from oracles import (
     impulse_from_transfer,

@@ -1,18 +1,16 @@
-"""Streaming sufficient statistics, least squares, and rank-one updates."""
+"""Streaming sufficient statistics, least squares, and the noise variance."""
 
 import numpy as np
 import pytest
 
-from bayesfir import (
+from bayesfir.stats import (
     Batch,
-    IllConditionedUpdateError,
     RankDeficientError,
     SufficientStats,
     ingest,
     ls_estimate,
     noise_variance,
     regressor_rows,
-    sherman_morrison_inverse_update,
 )
 
 from oracles import dense_regressors
@@ -200,32 +198,3 @@ def test_noise_variance_tracks_true_noise_level():
     est = noise_variance(stats, ls_estimate(stats))
     assert 0.85 * 0.49 < est < 1.15 * 0.49
 
-
-def test_sherman_morrison_identity_and_oracle():
-    np.testing.assert_array_equal(
-        sherman_morrison_inverse_update(np.eye(3), np.zeros(3)), np.eye(3)
-    )
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        a = rng.standard_normal((n, n))
-        base = a @ a.T + n * np.eye(n)
-        row = rng.standard_normal(n)
-        updated = sherman_morrison_inverse_update(np.linalg.inv(base), row)
-        direct = np.linalg.inv(base + np.outer(row, row))
-        assert np.max(np.abs(updated - direct)) < 1e-8 * np.max(np.abs(direct))
-        np.testing.assert_allclose(updated, updated.T)
-
-
-def test_sherman_morrison_survives_large_rows():
-    # against the analytic inverse of I + r r': I - r r' / (1 + ||r||^2)
-    row = 1e9 * np.array([1.0, -2.0, 0.5])
-    updated = sherman_morrison_inverse_update(np.eye(3), row)
-    exact = np.eye(3) - np.outer(row, row) / (1.0 + row @ row)
-    assert np.all(np.isfinite(updated))
-    np.testing.assert_allclose(updated, exact, rtol=1e-12, atol=1e-15)
-
-
-def test_sherman_morrison_rejects_degenerate_denominator():
-    with pytest.raises(IllConditionedUpdateError):
-        sherman_morrison_inverse_update(np.array([[-1.0]]), np.array([1.0]))
