@@ -117,7 +117,10 @@ def _cast_methods(text: str) -> tuple:
 
 
 def _cast_int_list(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    values = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    if not values:
+        raise ValueError("empty integer list")
+    return values
 
 
 def _cast_mode(text: str) -> str:

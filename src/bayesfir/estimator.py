@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import Hyperparameters
-from .likelihood import MLContext, _mean, posterior_mean
+from .likelihood import MLContext, _mean
 from .optim import (
     GRADIENT_METHODS,
     METHODS,
     OptimizerConfig,
     OptimizerState,
     em_step,
-    em_variant_step,
     gradient_step,
     opt_until_convergence,
 )
@@ -60,9 +59,10 @@ class OnlineEstimator:
     variance, one hyperparameter update, and the posterior mean.  The
     likelihood evaluations behind the update factor only an n-by-n inner
     matrix built from the TC kernel's closed-form square root; the kernel
-    itself and the posterior covariance are never formed.  A gradient step
-    hands back the factor at its new eta, so the mean costs no further
-    factorization.
+    itself and the posterior covariance are never formed.  Every update (a
+    gradient step, an EM step, or the last iteration of a full
+    re-optimization) hands back the factor at its new eta, so the mean costs
+    no further factorization.
 
     Parameters
     ----------
@@ -125,7 +125,7 @@ class OnlineEstimator:
         lam0 = stats.ybar / (stats.nbar * self.n)
         eta0 = Hyperparameters(lam0, BETA0)
         ctx = MLContext(stats, sigma2)
-        eta, info = opt_until_convergence(ctx, eta0, "sgp", self.config)
+        rep, info = opt_until_convergence(ctx, eta0, "sgp", self.config)
         active = (0,) if self.lambda_only else (0, 1)
         state = OptimizerState(
             eta_prev=info.state.eta_prev.copy(),
@@ -134,7 +134,7 @@ class OnlineEstimator:
             active=active,
         )
         self._stats = stats
-        self._eta = eta
+        self._eta = rep.eta_new
         self._sigma2 = sigma2
         self._opt_state = state
         self._batch_index = 0
@@ -155,27 +155,24 @@ class OnlineEstimator:
         ctx = MLContext(new_stats, sigma2)
 
         state_new = self._opt_state
-        factors = None
         if self.mode == "opt":
             # The full-optimization baseline restarts from the scale-aware
             # initializer every batch rather than polishing the previous
             # optimum, so its cost reflects a from-scratch solve.
             lam0 = new_stats.ybar / (new_stats.nbar * self.n)
             beta0 = self._eta.beta if self.lambda_only else BETA0
-            eta_new, _ = opt_until_convergence(
+            rep, _ = opt_until_convergence(
                 ctx, Hyperparameters(lam0, beta0), self.method, self.config,
                 lambda_only=self.lambda_only,
             )
         elif self.method in GRADIENT_METHODS:
             state_new = self._opt_state.copy()
             rep = gradient_step(ctx, state_new, self._eta, self.method, self.config)
-            eta_new, factors = rep.eta_new, rep.factors
-        elif self.method == "em":
-            eta_new = em_step(ctx, self._eta, self.config, need_ml=False).eta_new
         else:
-            eta_new = em_variant_step(ctx, self._eta, self.method, need_ml=False).eta_new
+            rep = em_step(ctx, self._eta, self.method, self.config)
 
-        h = posterior_mean(ctx, eta_new) if factors is None else _mean(factors)
+        eta_new = rep.eta_new
+        h = _mean(rep.factors)
         elapsed = time.perf_counter() - start
 
         self._stats = new_stats

@@ -14,7 +14,8 @@ The kernel is never formed.  With U the upper-triangular all-ones matrix,
 
 and every c_m >= 0, so U diag(sqrt(lam * c)) is an exact square root on the
 whole closed box, boundary included (Chen & Ljung, Automatica 2013).  Its
-beta-derivative and the exactly tridiagonal inverse are closed-form too.
+beta-derivative is closed-form too, and so is its exactly tridiagonal
+inverse, which the EM M-step reads (optim._em_profile).
 """
 
 from __future__ import annotations
@@ -52,45 +53,6 @@ class Hyperparameters:
     def from_array(cls, eta) -> "Hyperparameters":
         lam, beta = np.asarray(eta, dtype=float)
         return cls(lam, beta)
-
-
-def unit_kernel_inverse_bands(n: int, beta: float):
-    """(diag, offdiag) of the tridiagonal inverse of the unit-scale kernel.
-
-    The kernel beta ** max(i, j) is a reversed min-type matrix, so its
-    inverse is exactly tridiagonal:
-
-        inv[1, 1]     = 1 / (beta * (1 - beta))          (1 / beta when n == 1)
-        inv[i, i]     = (1 + beta) / (beta**i * (1 - beta))   for 1 < i < n
-        inv[n, n]     = 1 / (beta**n * (1 - beta))
-        inv[i, i + 1] = -1 / (beta**i * (1 - beta))
-
-    Quadratic forms and traces against the inverse therefore cost O(n)
-    instead of a dense factorization.  Raises when the kernel is singular:
-    beta <= 0 always, beta >= 1 for n >= 2, or beta**n underflowing to zero.
-    """
-    if n < 1:
-        raise ValueError(f"kernel order must be >= 1, got {n}")
-    if beta <= 0.0 or (n >= 2 and beta >= 1.0):
-        raise NotPositiveDefiniteError(f"unit kernel is singular at beta={beta!r}, n={n}")
-    if n == 1:
-        return np.array([1.0 / beta]), np.zeros(0)
-    powers = beta ** np.arange(1, n + 1, dtype=float)
-    if powers[-1] == 0.0:
-        raise NotPositiveDefiniteError(f"beta**n underflows at beta={beta!r}, n={n}")
-    # scale grows monotonically toward the tail, so the largest band entry is
-    # (1 + beta) / ((1 - beta) * beta**n); if that scalar is finite nothing
-    # else can overflow and the vector arithmetic below is warning-free.
-    with np.errstate(over="ignore", divide="ignore"):
-        top = (1.0 + beta) / ((1.0 - beta) * powers[-1])
-    if not np.isfinite(top):
-        raise NotPositiveDefiniteError(f"unit kernel inverse overflows at beta={beta!r}, n={n}")
-    scale = 1.0 / ((1.0 - beta) * powers)
-    diag = (1.0 + beta) * scale
-    diag[0] = scale[0]
-    diag[-1] = scale[-1]
-    offdiag = -scale[:-1]
-    return diag, offdiag
 
 
 def tc_block_weights(n: int, beta: float) -> np.ndarray:

@@ -22,10 +22,12 @@ and the degenerate limit nbar log sigma2 + ybar / sigma2).
 
 There is one factorization per (batch, eta): ``_factorize`` builds S and t,
 and the value, the gradient, the posterior mean and the EM second moment are
-all read off that one factor.  The updaters in ``optim`` hand it along within
-a call (the gradient's factor gives the value at the same eta, the accepted
-line-search candidate's factor gives the estimator its posterior mean), so a
-batch never factors the same matrix twice.  LAPACK is called directly
+all read off that one factor.  The updaters in ``optim`` hand it along: the
+gradient's factor gives the value at the same eta, and every updater returns
+the factor at its new eta (the accepted line-search candidate, or the EM
+update), from which the estimator forms its posterior mean, so a batch never
+factors the same matrix twice.  This module has no eta-level wrappers;
+callers factor once and read what they need.  LAPACK is called directly
 (dpotrf, dtrtrs, dtrtri), with an explicit finiteness check standing in for
 scipy's input validation.
 """
@@ -243,12 +245,3 @@ def _moment_bands(ctx: MLContext, f: _Factors):
     off = ctx.sigma2 * np.einsum("ij,ij->j", w[:, :-1], w[:, 1:]) + h[:-1] * h[1:]
     return diag, off
 
-
-def neg_log_ml(ctx: MLContext, eta: Hyperparameters) -> float:
-    """Negative log marginal likelihood of the streamed data at eta."""
-    return _value(ctx, _factorize(ctx, eta))
-
-
-def posterior_mean(ctx: MLContext, eta: Hyperparameters) -> np.ndarray:
-    """Posterior mean (R + sigma2 K^-1)^-1 ytilde; zero at lam = 0."""
-    return _mean(_factorize(ctx, eta))

@@ -6,10 +6,12 @@ Each online update performs a single projected scaled-gradient iteration
 
 with the metric B chosen per method (Barzilai-Borwein step, split gradient
 projection scaling, or a damped BFGS matrix) and gamma found by Armijo
-backtracking.  EM alternatives update lam in closed form (optionally with a
-golden-section search over beta).  State needed across batches is only the
-previous iterate, its gradient, the BB alternation threshold, and the BFGS
-matrix.
+backtracking.  The EM alternatives share one update, em_step: lam in closed
+form, plus a golden-section search over beta for ``em``.  Every updater
+returns a StepReport carrying the likelihood factor at its new eta, from
+which the estimator forms the posterior mean.  State needed across batches
+is only the previous iterate, its gradient, the BB alternation threshold,
+and the BFGS matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import likelihood
-from .kernel import Hyperparameters, unit_kernel_inverse_bands
+from .kernel import Hyperparameters, NotPositiveDefiniteError
 from .likelihood import (
     MLContext,
     NonFiniteLikelihoodError,
@@ -30,7 +32,6 @@ from .likelihood import (
     _moment_bands,
     _split,
     _value,
-    neg_log_ml,
 )
 
 GRADIENT_METHODS = ("bb", "sgp", "bfgs")
@@ -101,10 +102,9 @@ class StepReport:
     ml_after: float
     gamma: float
     backtracks: int  # rejected candidate step lengths
-    method: str
-    # factor at eta_new when the step built one, so the caller can form the
-    # posterior mean without factorizing again
-    factors: Optional[likelihood._Factors] = field(default=None, repr=False, compare=False)
+    # factor at eta_new, so the caller forms the posterior mean without
+    # factorizing again
+    factors: likelihood._Factors = field(repr=False, compare=False)
 
 
 class OptInfo(NamedTuple):
@@ -292,7 +292,6 @@ def gradient_step(
         ml_after=ml_after,
         gamma=gamma,
         backtracks=backtracks,
-        method=method,
         factors=f,
     )
 
@@ -316,30 +315,28 @@ def _golden_min(fn, lo: float, hi: float, tol: float, max_evals: int):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _inverse_kernel_trace(n: int, beta: float, diag: np.ndarray, offdiag: np.ndarray) -> float:
-    """Tr(inv(unit kernel) @ M) from M's main and first super diagonal.
-
-    The unit kernel's inverse is exactly tridiagonal, so the trace needs only
-    the two bands of M: sum(d * diag) + 2 * sum(e * offdiag).
-    """
-    d, e = unit_kernel_inverse_bands(n, beta)
-    return float(d @ diag) + 2.0 * float(e @ offdiag)
-
-
 def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
-    """The M-step's beta profile from the two bands of the second moment M.
+    """The M-step's closed form in beta from the two bands of the second moment M.
 
-    Returns beta -> (g, lam*) with lam*(beta) = Tr(K_b^-1 M) / n the
-    closed-form lam for fixed beta and g = n log lam* + log det K_b the
-    profiled objective.  Spelling the tridiagonal inverse out
-    (kernel.unit_kernel_inverse_bands) gives, for n >= 2,
+    Returns (lam_star, objective).  lam_star(beta) = Tr(K_b^-1 M) / n is the
+    closed-form lam for fixed beta.  The unit kernel's inverse is exactly
+    tridiagonal,
+
+        inv[1, 1] = 1 / (beta (1 - beta))           (1 / beta when n == 1)
+        inv[i, i] = (1 + beta) / (beta^i (1 - beta))   for 1 < i < n
+        inv[n, n] = 1 / (beta^n (1 - beta))
+        inv[i, i+1] = -1 / (beta^i (1 - beta)),
+
+    so for n >= 2
 
         lam* n (1 - beta) beta^n = sum_i beta^(n-i) (p_i + beta q_i),
         p_i = M_ii - 2 M_i,i+1 (p_n = M_nn),  q_i = M_ii for 1 < i < n else 0,
 
-    so each evaluation is one powers vector and two dot products.  g is inf
-    wherever unit_kernel_inverse_bands would raise (beta**n underflowing or
-    the inverse overflowing) and wherever lam* is not finite and positive.
+    and each evaluation is one powers vector and two dot products.  lam_star
+    is inf wherever the inverse does not exist or overflows: beta = 0,
+    beta = 1 for n >= 2, beta^n underflowing.  objective(beta) =
+    n log lam* + log det K_b is the M-step objective profiled over lam, for
+    0 < beta < 1; it is inf wherever lam* is not finite and positive.
     """
     n = m_diag.size
     pq = np.zeros((2, n))  # rows p and q, reversed so that entry k is weighted by beta**k
@@ -349,100 +346,77 @@ def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
     k = np.arange(n, dtype=float)
     half = 0.5 * n * (n + 1)
 
-    def profile(beta: float):
+    def lam_star(beta: float) -> float:
         if n == 1:  # the inverse is the scalar 1 / beta
             scale = beta
         else:
             beta_n = beta**n
             scale = (1.0 - beta) * beta_n
-            if beta_n == 0.0 or scale == 0.0 or not math.isfinite((1.0 + beta) / scale):
-                return np.inf, 0.0
+        if scale == 0.0 or not math.isfinite((1.0 + beta) / scale):
+            return np.inf
         sp, sq = pq @ beta**k
-        lam_star = float(sp + beta * sq) / (n * scale)
-        if not math.isfinite(lam_star) or lam_star <= 0.0:
-            return np.inf, 0.0
-        return n * math.log(lam_star) + half * math.log(beta) + (n - 1) * math.log1p(-beta), lam_star
+        return float(sp + beta * sq) / (n * scale)
 
-    return profile
+    def objective(beta: float) -> float:
+        lam = lam_star(beta)
+        if not math.isfinite(lam) or lam <= 0.0:
+            return np.inf
+        return n * math.log(lam) + half * math.log(beta) + (n - 1) * math.log1p(-beta)
+
+    return lam_star, objective
 
 
 def em_step(
-    ctx: MLContext, eta: Hyperparameters, cfg: OptimizerConfig = None, need_ml: bool = True
+    ctx: MLContext, eta: Hyperparameters, method: str, cfg: OptimizerConfig = None
 ) -> StepReport:
-    """Full EM update: posterior second moment at eta, then the exact M-step.
+    """One EM update: posterior second moment at eta, then the exact M-step.
 
-    lam has the closed form Tr(K_b^-1 M) / n for fixed beta, with M = P + h h'
-    the posterior second moment, so the M-step reduces to a one-dimensional
-    search over beta; the profiled objective is minimized by golden section
-    and compared against the current beta so the evidence never degrades.
-    The kernel's inverse is exactly tridiagonal, so the M-step reads only
-    M's main and first super diagonal (likelihood._moment_bands, O(n^2)
-    column sums from the same factor as the value), and each profile
-    evaluation is O(n) in closed form (_em_profile).
-
-    ``need_ml=False`` skips the likelihood evaluations that only populate the
-    report fields; the update itself never needs them.
+    lam has the closed form Tr(K_b^-1 M) / n for fixed beta, with M the
+    posterior second moment (_em_profile).  ``em`` takes M = P + h h' and
+    minimizes the lam-profiled objective over beta by golden section,
+    compared against the current beta so the evidence never degrades.
+    ``em1`` (M = h h', the covariance dropped) and ``em2`` (M = P + h h')
+    keep beta frozen and raise NotPositiveDefiniteError where the kernel
+    inverse does not exist.  The M-step reads only M's main and first super
+    diagonal (likelihood._moment_bands, O(n^2) column sums from the factor
+    at eta), and the report carries the factor at the new eta; both values
+    are O(n) given their factors.
     """
+    if method not in EM_METHODS:
+        raise ValueError(f"unknown EM method {method!r}")
     cfg = cfg or OptimizerConfig()
     f = likelihood._factorize(ctx, eta)
-    ml_before = _value(ctx, f) if need_ml else float("nan")
-    m_diag, m_off = _moment_bands(ctx, f)
-
-    if float(m_diag.sum()) <= 0.0:
-        # Degenerate posterior (lam already 0): the M-step sends lam to the
-        # boundary and beta is irrelevant.
-        eta_new = Hyperparameters(0.0, eta.beta)
-        return StepReport(eta_new, ml_before, ml_before, 1.0, 0, "em")
-
-    profile = _em_profile(m_diag, m_off)
-
-    def objective(beta: float) -> float:
-        return profile(beta)[0]
-
-    lo, hi = cfg.beta_eps, 1.0 - cfg.beta_eps
-    beta_cur = min(max(eta.beta, lo), hi)
-    g_cur = objective(beta_cur)
-    beta_gs, g_gs = _golden_min(objective, lo, hi, cfg.em_golden_tol, cfg.em_max_evals)
-    beta_sel = beta_gs if g_gs < g_cur else beta_cur
-    eta_new = Hyperparameters(profile(beta_sel)[1], beta_sel)
-    ml_after = neg_log_ml(ctx, eta_new) if need_ml else float("nan")
-    return StepReport(eta_new, ml_before, ml_after, 1.0, 0, "em")
-
-
-def _variant_lambda(ctx: MLContext, f: likelihood._Factors, method: str) -> float:
-    """lam update at f.eta with beta frozen.
-
-    em1 drops the posterior covariance, h'K_b^-1 h / n; em2 is the exact
-    fixed-beta EM update (h'K_b^-1 h + Tr(K_b^-1 P)) / n.
-    """
     if method == "em1":
         h = _mean(f)
-        diag, off = h * h, h[:-1] * h[1:]
+        m_diag, m_off = h * h, h[:-1] * h[1:]
     else:
-        diag, off = _moment_bands(ctx, f)
-    if float(diag.sum()) <= 0.0:
-        # Degenerate posterior (a zero kernel, e.g. beta = 0): lam goes to the
-        # boundary as in em_step, and the singular kernel inverse is not needed.
-        return 0.0
-    n = ctx.stats.n
-    return _inverse_kernel_trace(n, f.eta.beta, diag, off) / n
+        m_diag, m_off = _moment_bands(ctx, f)
 
+    lam_star, objective = _em_profile(m_diag, m_off)
+    if float(m_diag.sum()) <= 0.0:
+        # Degenerate posterior (lam already 0, or a zero kernel at beta = 0):
+        # the M-step sends lam to the boundary, and neither beta nor the
+        # kernel inverse is needed.
+        eta_new = Hyperparameters(0.0, eta.beta)
+    elif method == "em":
+        lo, hi = cfg.beta_eps, 1.0 - cfg.beta_eps
+        beta_cur = min(max(eta.beta, lo), hi)
+        g_cur = objective(beta_cur)
+        beta_gs, g_gs = _golden_min(objective, lo, hi, cfg.em_golden_tol, cfg.em_max_evals)
+        beta_sel = beta_gs if g_gs < g_cur else beta_cur
+        # lam = 0 when no evaluated beta gave a finite objective
+        lam_sel = lam_star(beta_sel) if min(g_gs, g_cur) < np.inf else 0.0
+        eta_new = Hyperparameters(lam_sel, beta_sel)
+    else:
+        lam_new = lam_star(eta.beta)
+        if lam_new == np.inf:
+            raise NotPositiveDefiniteError(
+                f"kernel inverse does not exist at beta={eta.beta!r}, n={m_diag.size}"
+            )
+        eta_new = Hyperparameters(max(lam_new, 0.0), eta.beta)
 
-def em_variant_step(
-    ctx: MLContext,
-    eta: Hyperparameters,
-    method: str,
-    need_ml: bool = True,
-) -> StepReport:
-    """One lam-only EM update (beta frozen), packaged as a StepReport."""
-    if method not in ("em1", "em2"):
-        raise ValueError(f"unknown EM variant {method!r}")
-    f = likelihood._factorize(ctx, eta)
-    ml_before = _value(ctx, f) if need_ml else float("nan")
-    lam_new = _variant_lambda(ctx, f, method)
-    eta_new = Hyperparameters(max(lam_new, 0.0), eta.beta)
-    ml_after = neg_log_ml(ctx, eta_new) if need_ml else float("nan")
-    return StepReport(eta_new, ml_before, ml_after, 1.0, 0, method)
+    f_new = likelihood._factorize(ctx, eta_new)
+    return StepReport(eta_new, _value(ctx, f), _value(ctx, f_new), 1.0, 0, f_new)
 
 
 def fresh_state(
@@ -478,13 +452,16 @@ def opt_until_convergence(
     """Iterate the chosen updater on fixed data until the objective settles.
 
     Stops when |L_j - L_{j-1}| <= opt_tol * (1 + |L_j|) or after opt_max_iter
-    iterations.  Returns (eta, OptInfo): the final optimizer state (whose
-    eta_prev/grad_prev form a secant seed; None for EM) and the iteration
-    count.
+    iterations.  Returns (StepReport, OptInfo): the last iteration's report,
+    whose eta_new is the result and whose factor gives its posterior mean,
+    and the final optimizer state (whose eta_prev/grad_prev form a secant
+    seed; None for EM) with the iteration count.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     cfg = cfg or OptimizerConfig()
+    if cfg.opt_max_iter < 1:
+        raise ValueError(f"opt_max_iter must be >= 1, got {cfg.opt_max_iter}")
     eta = eta0
     state = None
     if method in GRADIENT_METHODS:
@@ -493,12 +470,10 @@ def opt_until_convergence(
     for _ in range(cfg.opt_max_iter):
         if method in GRADIENT_METHODS:
             rep = gradient_step(ctx, state, eta, method, cfg)
-        elif method == "em":
-            rep = em_step(ctx, eta, cfg)
         else:
-            rep = em_variant_step(ctx, eta, method)
+            rep = em_step(ctx, eta, method, cfg)
         eta = rep.eta_new
         iterations += 1
         if abs(rep.ml_after - rep.ml_before) <= cfg.opt_tol * (1.0 + abs(rep.ml_after)):
             break
-    return eta, OptInfo(state=state, iterations=iterations)
+    return rep, OptInfo(state=state, iterations=iterations)

@@ -13,6 +13,7 @@ Both filters are numpy-only, and bit-identical to scipy.signal's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,22 +126,16 @@ def impulse_response(b: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     return np.array(out)
 
 
-def random_system(
-    rng,
-    n: int,
-    order_range: tuple = ORDER_RANGE,
-    pole_radius: float = POLE_RADIUS,
-    decay_tol: float = DECAY_TOL,
-    max_retries: int = MAX_RETRIES,
-) -> TrueSystem:
+def random_system(rng, n: int) -> TrueSystem:
     """Draw a random stable system and truncate it to n unit-norm taps.
 
-    ``decay_tol=None`` disables the tail-decay check (useful for small n where
-    no stable system of these orders has died out yet).
+    Up to MAX_RETRIES draws of order in ORDER_RANGE with poles inside
+    POLE_RADIUS; a draw whose response has not decayed to DECAY_TOL of its
+    peak by tap n is rejected.
     """
-    for _ in range(max_retries):
-        order = int(rng.integers(order_range[0], order_range[1] + 1))
-        poles = _sample_in_disk(rng, order, pole_radius)
+    for _ in range(MAX_RETRIES):
+        order = int(rng.integers(ORDER_RANGE[0], ORDER_RANGE[1] + 1))
+        poles = _sample_in_disk(rng, order, POLE_RADIUS)
         zeros = _sample_in_disk(rng, order - 1, 1.0)
         a = np.real(np.poly(poles))
         b_raw = np.real(np.poly(zeros))
@@ -152,12 +147,12 @@ def random_system(
         if norm < 1e-12:
             continue
         h_true = h_raw / norm
-        if decay_tol is not None and abs(h_true[-1]) > decay_tol * np.max(np.abs(h_true)):
+        if abs(h_true[-1]) > DECAY_TOL * np.max(np.abs(h_true)):
             continue
         return TrueSystem(
             order=order, poles=poles, zeros=zeros, gain=1.0 / norm, h_true=h_true
         )
-    raise RuntimeError(f"no admissible system after {max_retries} draws")
+    raise RuntimeError(f"no admissible system after {MAX_RETRIES} draws")
 
 
 def bandlimited_input(rng, n_samples: int) -> np.ndarray:
@@ -208,7 +203,8 @@ def dump_dataset(path, u: np.ndarray, y: np.ndarray) -> None:
 def load_dataset(path):
     """Read a dataset written by dump_dataset; returns (u, y).
 
-    Raises ValueError naming the offending line number on malformed input.
+    Raises ValueError naming the offending line number on malformed or
+    non-finite input.
     """
     u, y = [], []
     with open(path) as fh:
@@ -223,10 +219,13 @@ def load_dataset(path):
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected two comma-separated values")
             try:
-                u.append(float(parts[0]))
-                y.append(float(parts[1]))
+                ui, yi = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+            if not (math.isfinite(ui) and math.isfinite(yi)):
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
+            u.append(ui)
+            y.append(yi)
     if not u:
         raise ValueError(f"{path}: no samples found")
     return np.array(u), np.array(y)

@@ -90,21 +90,14 @@ class SufficientStats:
 def regressor_rows(u: np.ndarray, history: np.ndarray, n: int) -> np.ndarray:
     """Build the batch regressor matrix, one row [u(t), ..., u(t-n+1)] per sample.
 
-    ``history`` holds the n-1 inputs that preceded this batch (zeros where the
-    stream has not run that long yet).  The result is a read-only strided view.
+    ``history`` holds exactly the n-1 inputs that preceded this batch (zeros
+    where the stream has not run that long yet).  The result is a read-only strided view.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    nk = u.size
-    tail = np.zeros(n - 1)
-    if n > 1 and history is not None:
-        hist = np.atleast_1d(np.asarray(history, dtype=float))[-(n - 1):]
-        if hist.size:
-            tail[-hist.size:] = hist
-    ext = np.concatenate([tail, u])
+    ext = np.concatenate([history, u])
     # row t starts at u(t) = ext[n-1+t] and walks back n samples: a read-only
     # view with a negative column stride, no copy
     step = ext.strides[0]
-    return np.lib.stride_tricks.as_strided(ext[n - 1:], shape=(nk, n), strides=(step, -step), writeable=False)
+    return np.lib.stride_tricks.as_strided(ext[n - 1:], shape=(u.size, n), strides=(step, -step), writeable=False)
 
 
 def ingest(stats: SufficientStats, batch: Batch) -> SufficientStats:

@@ -27,6 +27,28 @@ def unit_kernel_logdet(n, beta):
     return 0.5 * n * (n + 1) * np.log(beta) + (n - 1) * np.log1p(-beta)
 
 
+def unit_kernel_inverse_bands(n, beta):
+    """(diag, offdiag) of the tridiagonal inverse of beta**max(i, j), 0 < beta < 1.
+
+    The kernel is a reversed min-type matrix, so its inverse is exactly
+    tridiagonal:
+
+        inv[1, 1]     = 1 / (beta * (1 - beta))          (1 / beta when n == 1)
+        inv[i, i]     = (1 + beta) / (beta**i * (1 - beta))   for 1 < i < n
+        inv[n, n]     = 1 / (beta**n * (1 - beta))
+        inv[i, i + 1] = -1 / (beta**i * (1 - beta))
+
+    test_kernel checks it against the dense inverse.
+    """
+    if n == 1:
+        return np.array([1.0 / beta]), np.zeros(0)
+    scale = 1.0 / ((1.0 - beta) * beta ** np.arange(1, n + 1, dtype=float))
+    diag = (1.0 + beta) * scale
+    diag[0] = scale[0]
+    diag[-1] = scale[-1]
+    return diag, -scale[:-1]
+
+
 def dense_regressors(u, n):
     """Regressor matrix Phi[t, i] = u[t - i], zero before the record starts."""
     u = np.asarray(u, dtype=float)

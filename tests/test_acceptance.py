@@ -13,14 +13,13 @@ import pytest
 
 from bayesfir.cli import montecarlo_rows
 from bayesfir.kernel import Hyperparameters
-from bayesfir.likelihood import _factorize, _lambda_split, _mean, _moment_bands, neg_log_ml
+from bayesfir.likelihood import _factorize, _lambda_split, _mean, _moment_bands, _value
 from bayesfir.optim import (
     OptimizerConfig,
+    _em_profile,
     _grad_at,
-    _inverse_kernel_trace,
     bfgs_update,
     em_step,
-    em_variant_step,
     fresh_state,
     gradient_step,
     opt_until_convergence,
@@ -57,7 +56,7 @@ def test_criterion_1_compressed_ml_matches_dense_oracle():
         nbar = int(rng.integers(n + 2, 51))
         ctx, u, y = random_instance(rng, n, nbar)
         eta = random_eta(rng)
-        got = neg_log_ml(ctx, eta)
+        got = _value(ctx, _factorize(ctx, eta))
         want = dense_neg_log_ml(u, y, n, eta.lam, eta.beta, ctx.sigma2)
         worst = max(worst, abs(got - want) / abs(want))
     elapsed = time.perf_counter() - t0
@@ -74,9 +73,13 @@ def test_criterion_2_gradient_matches_finite_differences():
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 10, 61)))
         eta = random_eta(rng)
         grad, _, _ = _grad_at(ctx, eta, (0, 1), CFG)
-        fd_lam = central_diff(lambda x: neg_log_ml(ctx, Hyperparameters(x, eta.beta)), eta.lam, 1e-6 * eta.lam)
+        fd_lam = central_diff(
+            lambda x: _value(ctx, _factorize(ctx, Hyperparameters(x, eta.beta))), eta.lam, 1e-6 * eta.lam
+        )
         fd_beta = central_diff(
-            lambda x: neg_log_ml(ctx, Hyperparameters(eta.lam, x)), eta.beta, 1e-6 * min(eta.beta, 1.0 - eta.beta)
+            lambda x: _value(ctx, _factorize(ctx, Hyperparameters(eta.lam, x))),
+            eta.beta,
+            1e-6 * min(eta.beta, 1.0 - eta.beta),
         )
         for got, want in ((grad[0], fd_lam), (grad[1], fd_beta)):
             worst = max(worst, abs(got - want) / abs(want))
@@ -96,7 +99,7 @@ def test_criterion_3_lambda_gradient_step_equals_em2_update():
         # the lam-only gradient pieces that _grad_at computes for beta frozen
         v, u = _lambda_split(ctx, _factorize(ctx, eta))
         stepped = eta.lam - (eta.lam ** 2 / n) * (v - u)
-        target = em_variant_step(ctx, eta, "em2", need_ml=False).eta_new.lam
+        target = em_step(ctx, eta, "em2").eta_new.lam
         worst = max(worst, abs(stepped - target) / abs(target))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 30.0
@@ -109,12 +112,14 @@ def test_criterion_4_posterior_trace_matches_logdet_derivative():
     for _ in range(20):
         n = int(rng.integers(3, 11))
         ctx, _, _ = random_instance(rng, n, n * 10 + 20)
-        eta, _ = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * n), 0.9))
-        # the bands of P = M - h h' from the second moment M that EM reads
-        f = _factorize(ctx, eta)
-        m_diag, m_off = _moment_bands(ctx, f)
-        h = _mean(f)
-        z = _inverse_kernel_trace(n, eta.beta, m_diag - h * h, m_off - h[:-1] * h[1:])
+        rep, _ = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * n), 0.9))
+        eta = rep.eta_new
+        # the bands of P = M - h h' from the second moment M that EM reads,
+        # and Tr(K_1^-1 P) = n lam*(beta) from EM's closed form
+        m_diag, m_off = _moment_bands(ctx, rep.factors)
+        h = _mean(rep.factors)
+        lam_star, _ = _em_profile(m_diag - h * h, m_off - h[:-1] * h[1:])
+        z = n * lam_star(eta.beta)
         kinv = np.linalg.inv(dense_tc_kernel(n, 1.0, eta.beta))
         a = 1.0 / eta.lam
 
@@ -133,7 +138,7 @@ def test_criterion_5_em_step_never_increases_objective():
     for _ in range(50):
         n = int(rng.integers(2, 11))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 10, 101)))
-        rep = em_step(ctx, random_eta(rng), CFG)
+        rep = em_step(ctx, random_eta(rng), "em", CFG)
         worst = max(worst, (rep.ml_after - rep.ml_before) / (1.0 + abs(rep.ml_before)))
     ok = worst <= 1e-10
     _verdict(5, ok, f"50 instances, worst rel increase {worst:.2e} (<=1e-10)")
@@ -184,10 +189,7 @@ def test_criterion_6_secant_feasibility_and_armijo_suites():
         for method in ("em", "em1", "em2"):
             eta = eta0
             for _ in range(4):
-                if method == "em":
-                    rep = em_step(ctx, eta, CFG, need_ml=False)
-                else:
-                    rep = em_variant_step(ctx, eta, method, need_ml=False)
+                rep = em_step(ctx, eta, method, CFG)
                 all_feasible &= rep.eta_new.lam >= 0.0 and 0.0 <= rep.eta_new.beta <= 1.0
                 feasible_cases += 1
                 eta = rep.eta_new

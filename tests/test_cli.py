@@ -66,6 +66,7 @@ def test_resolve_config_rejects_bad_values():
         ("seed", "-1"),
         ("workers", "0"),
         ("nk_sweep", "10,0"),
+        ("nk_sweep", ","),
         ("methods", "sgp,warp"),
         ("mode", "sometimes"),
         ("n", "eighty"),
@@ -208,6 +209,10 @@ def test_stream_input_errors_exit_2(tmp_path, capsys):
     bad.write_text("u,y\n1.0,2.0\n3.0\n")
     assert cli.main(["stream", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
+    non_finite = tmp_path / "nan.csv"
+    non_finite.write_text("u,y\n1.0,2.0\nnan,3.0\n")
+    assert cli.main(["stream", str(non_finite)]) == 2
+    assert "line 3: non-finite" in capsys.readouterr().err
     short = tmp_path / "short.csv"
     short.write_text("u,y\n" + "".join(f"{i}.0,{i}.0\n" for i in range(5)))
     assert cli.main(["stream", "--n-warmup", "40", str(short)]) == 2
@@ -232,6 +237,8 @@ def test_stream_length_sets_n_total(tmp_path):
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["single", "--methods", "warp", "--out", str(tmp_path)]) == 2
     assert "warp" in capsys.readouterr().err
+    assert cli.main(["single", "--nk-sweep", ",", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "single_trace.csv").exists()
     assert cli.main(["single", "--seed", "-1", "--out", str(tmp_path)]) == 2
     assert cli.main(["single", "--nk", "0", "--out", str(tmp_path)]) == 2
     assert cli.main(["single", "--nk-sweep", "5,0", "--out", str(tmp_path)]) == 2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bayesfir import Hyperparameters, OnlineEstimator
-from bayesfir import estimator, likelihood
-from bayesfir.likelihood import MLContext, posterior_mean
+from bayesfir import estimator, likelihood, optim
+from bayesfir.likelihood import MLContext, _factorize, _mean
 from bayesfir.optim import OptimizerConfig, _interior
 from bayesfir.simgen import bandlimited_input, random_system, simulate_io
 from bayesfir.stats import ls_estimate, noise_variance
@@ -92,7 +92,7 @@ def test_snapshot_matches_posterior_at_committed_state():
     snaps = run_stream(est, u, y, warm=70, nk=15)
     ctx = MLContext(est._stats, est._sigma2)
     np.testing.assert_allclose(
-        snaps[-1].h, posterior_mean(ctx, est._eta), rtol=1e-10, atol=1e-12
+        snaps[-1].h, _mean(_factorize(ctx, est._eta)), rtol=1e-10, atol=1e-12
     )
 
 
@@ -112,7 +112,7 @@ def test_pure_noise_warmup_shrinks_hard():
     est.initialize(u, y)
     h_ls = ls_estimate(est._stats)
     ctx = MLContext(est._stats, est._sigma2)
-    h_bayes = posterior_mean(ctx, est._eta)
+    h_bayes = _mean(_factorize(ctx, est._eta))
     assert np.linalg.norm(h_bayes) < 0.5 * np.linalg.norm(h_ls)
 
 
@@ -167,16 +167,12 @@ def test_full_optimization_mode_costs_more():
 
 
 def test_one_factorization_per_batch_and_eta(monkeypatch):
-    # band-limited protocol at n=80, nk=10: a gradient step factors its
-    # interior eta once (value and gradient alike) plus each line-search
-    # candidate once, and the estimator's mean reuses the factor at the new
-    # eta; EM factors the old eta for the second moment and the new one for
-    # the mean
-    rng = np.random.default_rng(3)
-    n, warm, nk = 80, 100, 10
-    system = random_system(rng, n)
-    u = bandlimited_input(rng, warm + 20 * nk)
-    y = simulate_io(system, u, 5.0, rng)
+    # band-limited protocol, nk=10: a gradient step factors its interior eta
+    # once (value and gradient alike; a boundary eta once more for the value)
+    # plus each line-search candidate once; EM factors the old eta for the
+    # second moment and the new one for the mean; opt mode pays the
+    # fresh_state seed plus its steps.  Every updater hands back the factor
+    # at its new eta, so the mean costs nothing more.
     factored = []
     real_factorize = likelihood._factorize
 
@@ -184,42 +180,48 @@ def test_one_factorization_per_batch_and_eta(monkeypatch):
         factored.append(eta)
         return real_factorize(ctx, eta)
 
-    reports = []
-    real_step = estimator.gradient_step
+    steps = []  # (eta, report) of every gradient step
+    real_step = optim.gradient_step
 
-    def recording_step(*args, **kwargs):
-        reports.append(real_step(*args, **kwargs))
-        return reports[-1]
+    def recording_step(ctx, state, eta, *args):
+        steps.append((eta, real_step(ctx, state, eta, *args)))
+        return steps[-1][1]
 
     monkeypatch.setattr(likelihood, "_factorize", counting_factorize)
     monkeypatch.setattr(estimator, "gradient_step", recording_step)
+    monkeypatch.setattr(optim, "gradient_step", recording_step)
     cfg = OptimizerConfig()
-    for method, lambda_only in (
-        ("bb", False), ("sgp", False), ("bfgs", False), ("sgp", True),
-        ("em", False), ("em1", False), ("em2", False),
+
+    def step_cost(eta, rep):
+        if rep.gamma > 0.0:
+            candidates = rep.backtracks + 1
+        elif rep.backtracks == cfg.max_backtracks:
+            candidates = cfg.max_backtracks + 1
+        else:  # ascent direction: no line search at all
+            candidates = 0
+        return (1 if _interior(eta, cfg) == eta else 2) + candidates
+
+    for n, method, lambda_only, mode in (
+        (80, "bb", False, "onestep"), (80, "sgp", False, "onestep"),
+        (80, "bfgs", False, "onestep"), (80, "sgp", True, "onestep"),
+        (80, "em", False, "onestep"), (80, "em1", False, "onestep"),
+        (80, "em2", False, "onestep"), (20, "sgp", False, "opt"),
     ):
-        est = OnlineEstimator(n, method=method, lambda_only=lambda_only)
+        rng = np.random.default_rng(3)
+        warm, nk = 100, 10
+        system = random_system(rng, n)
+        u = bandlimited_input(rng, warm + 20 * nk)
+        y = simulate_io(system, u, 5.0, rng)
+        est = OnlineEstimator(n, method=method, mode=mode, lambda_only=lambda_only)
         est.initialize(u[:warm], y[:warm])
-        checked = 0
         for start in range(warm, u.size, nk):
-            interior = _interior(est._eta, cfg) == est._eta
             factored.clear()
-            reports.clear()
+            steps.clear()
             snap = est.process_batch(u[start:start + nk], y[start:start + nk])
-            paid = len(factored)
             if method.startswith("em"):
-                assert paid == 2, (method, snap.batch_index, paid)
-                checked += 1
-            elif interior:
-                (rep,) = reports
-                if rep.gamma > 0.0:
-                    candidates = rep.backtracks + 1
-                elif rep.backtracks == cfg.max_backtracks:
-                    candidates = cfg.max_backtracks + 1
-                else:  # ascent direction: no line search at all
-                    candidates = 0
-                assert paid == 1 + candidates, (method, lambda_only, snap.batch_index, paid, candidates)
-                checked += 1
+                want = 2
+            else:
+                want = (mode == "opt") + sum(step_cost(eta, rep) for eta, rep in steps)
+            assert len(factored) == want, (method, lambda_only, mode, snap.batch_index, len(factored), want)
             ctx = MLContext(est._stats, snap.sigma2)
-            np.testing.assert_array_equal(snap.h, posterior_mean(ctx, snap.eta))
-        assert checked > 0, (method, lambda_only)
+            np.testing.assert_array_equal(snap.h, _mean(real_factorize(ctx, snap.eta)))

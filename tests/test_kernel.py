@@ -1,18 +1,20 @@
-"""Closed-form TC kernel structure: root weights, beta-derivative, tridiagonal inverse."""
+"""Closed-form TC kernel structure: root weights, beta-derivative, and the
+tridiagonal-inverse reference that the EM tests compare against."""
 
 import numpy as np
 import pytest
 
-from bayesfir.kernel import (
-    Hyperparameters,
-    NotPositiveDefiniteError,
-    dbeta_block_weights,
-    tc_block_weights,
-    unit_kernel_inverse_bands,
-)
-from bayesfir.likelihood import neg_log_ml
+from bayesfir.kernel import Hyperparameters, dbeta_block_weights, tc_block_weights
+from bayesfir.likelihood import _factorize, _value
 
-from oracles import central_diff, dense_neg_log_ml, dense_tc_kernel, random_instance, unit_kernel_logdet
+from oracles import (
+    central_diff,
+    dense_neg_log_ml,
+    dense_tc_kernel,
+    random_instance,
+    unit_kernel_inverse_bands,
+    unit_kernel_logdet,
+)
 
 
 def root(n, lam, beta):
@@ -162,19 +164,6 @@ def test_unit_inverse_bands_scalar_cases():
     np.testing.assert_allclose(diag, [4.0])
 
 
-def test_unit_inverse_bands_singularity_guards():
-    with pytest.raises(NotPositiveDefiniteError):
-        unit_kernel_inverse_bands(3, 0.0)
-    with pytest.raises(NotPositiveDefiniteError):
-        unit_kernel_inverse_bands(2, 1.0)
-    with pytest.raises(NotPositiveDefiniteError):
-        unit_kernel_inverse_bands(80, 1e-5)  # beta**n underflows
-    with pytest.raises(NotPositiveDefiniteError):
-        unit_kernel_inverse_bands(1040, 0.5)  # band magnitude overflows
-    with pytest.raises(ValueError):
-        unit_kernel_inverse_bands(0, 0.5)
-
-
 def test_unit_logdet_matches_dense():
     for n, beta in [(1, 0.5), (4, 0.2), (9, 0.9), (30, 0.97)]:
         sign, ld = np.linalg.slogdet(dense_tc_kernel(n, 1.0, beta))
@@ -201,4 +190,4 @@ def test_deep_decay_matches_dense_oracles():
     ctx, u, y = random_instance(rng, n, 2 * n)
     for beta in (0.004, 1e-5, 1e-9):
         direct = dense_neg_log_ml(u, y, n, lam, beta, ctx.sigma2)
-        assert abs(neg_log_ml(ctx, Hyperparameters(lam, beta)) - direct) < 1e-10 * (1.0 + abs(direct))
+        assert abs(_value(ctx, _factorize(ctx, Hyperparameters(lam, beta))) - direct) < 1e-10 * (1.0 + abs(direct))

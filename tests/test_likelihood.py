@@ -12,17 +12,25 @@ from bayesfir.likelihood import (
     NonFiniteLikelihoodError,
     _factorize,
     _lambda_split,
+    _mean,
     _moment_bands,
     _split,
-    neg_log_ml,
-    posterior_mean,
+    _value,
 )
-from bayesfir.optim import OptimizerConfig, _grad_at, fresh_state, gradient_step
+from bayesfir.optim import OptimizerConfig, _grad_at, em_step, fresh_state, gradient_step
 from bayesfir.stats import Batch, SufficientStats, ingest, ls_estimate, noise_variance
 
 from oracles import dense_neg_log_ml, dense_posterior, random_eta, random_instance
 
 CFG = OptimizerConfig()
+
+
+def value_at(ctx, eta):
+    return _value(ctx, _factorize(ctx, eta))
+
+
+def mean_at(ctx, eta):
+    return _mean(_factorize(ctx, eta))
 
 
 def scalar_context():
@@ -40,7 +48,7 @@ def test_context_validation():
 def test_scalar_value():
     # single unit sample, unit kernel, unit noise: quadratic 1/2 plus log det 2
     ctx = scalar_context()
-    val = neg_log_ml(ctx, Hyperparameters(1.0, 1.0))
+    val = value_at(ctx, Hyperparameters(1.0, 1.0))
     assert abs(val - (0.5 + np.log(2.0))) < 1e-12
 
 
@@ -50,7 +58,7 @@ def test_zero_lambda_limit():
     stats = ctx.stats
     expected = stats.nbar * np.log(ctx.sigma2) + stats.ybar / ctx.sigma2
     for eta in (Hyperparameters(0.0, 0.5), Hyperparameters(1.0, 0.0)):
-        assert abs(neg_log_ml(ctx, eta) - expected) < 1e-10 * (1.0 + abs(expected))
+        assert abs(value_at(ctx, eta) - expected) < 1e-10 * (1.0 + abs(expected))
 
 
 def test_matches_dense_oracle():
@@ -61,7 +69,7 @@ def test_matches_dense_oracle():
         ctx, u, y = random_instance(rng, n, nbar)
         eta = random_eta(rng)
         direct = dense_neg_log_ml(u, y, n, eta.lam, eta.beta, ctx.sigma2)
-        assert abs(neg_log_ml(ctx, eta) - direct) < 1e-8 * (1.0 + abs(direct))
+        assert abs(value_at(ctx, eta) - direct) < 1e-8 * (1.0 + abs(direct))
 
 
 def test_rank_deficient_kernel_still_matches_oracle():
@@ -69,7 +77,7 @@ def test_rank_deficient_kernel_still_matches_oracle():
     ctx, u, y = random_instance(rng, 5, 30)
     eta = Hyperparameters(2.0, 1.0)  # rank-one kernel
     direct = dense_neg_log_ml(u, y, 5, eta.lam, eta.beta, ctx.sigma2)
-    assert abs(neg_log_ml(ctx, eta) - direct) < 1e-8 * (1.0 + abs(direct))
+    assert abs(value_at(ctx, eta) - direct) < 1e-8 * (1.0 + abs(direct))
 
 
 def test_gradient_matches_finite_differences():
@@ -85,7 +93,7 @@ def test_gradient_matches_finite_differences():
             def slice_fn(x):
                 arr = eta.as_array()
                 arr[comp] = x
-                return neg_log_ml(ctx, Hyperparameters(arr[0], arr[1]))
+                return value_at(ctx, Hyperparameters(arr[0], arr[1]))
 
             x0 = eta.as_array()[comp]
             fd = (slice_fn(x0 + h) - slice_fn(x0 - h)) / (2.0 * h)
@@ -113,7 +121,7 @@ def test_gradient_vanishes_at_profile_minimum():
     beta = 0.6
     scale = ctx.stats.ybar / ctx.stats.nbar
     res = minimize_scalar(
-        lambda lam: neg_log_ml(ctx, Hyperparameters(lam, beta)),
+        lambda lam: value_at(ctx, Hyperparameters(lam, beta)),
         bounds=(1e-6 * scale, 1e3 * scale), method="bounded",
         options={"xatol": 1e-12 * scale},
     )
@@ -142,7 +150,7 @@ def test_overflowing_kernel_reports_non_finite():
     rng = np.random.default_rng(29)
     ctx, _, _ = random_instance(rng, 6, 30)
     with pytest.raises(NonFiniteLikelihoodError):
-        neg_log_ml(ctx, Hyperparameters(1e308, 0.9))
+        value_at(ctx, Hyperparameters(1e308, 0.9))
 
 
 def overflow_context():
@@ -163,12 +171,14 @@ def test_overflowing_eta_raises_non_finite_everywhere():
     # ValueError, LinAlgError or a NaN result
     ctx = overflow_context()
     eta = Hyperparameters(1e300, 0.9)
-    for fn in (neg_log_ml, posterior_mean, _factorize):
-        with pytest.raises(NonFiniteLikelihoodError):
-            fn(ctx, eta)
+    with pytest.raises(NonFiniteLikelihoodError):
+        _factorize(ctx, eta)
     for active in ((0,), (0, 1)):
         with pytest.raises(NonFiniteLikelihoodError):
             _grad_at(ctx, eta, active, CFG)
+    for method in ("em", "em1", "em2"):
+        with pytest.raises(NonFiniteLikelihoodError):
+            em_step(ctx, eta, method, CFG)
 
 
 def test_gradient_step_skips_overflowing_candidates():
@@ -180,7 +190,7 @@ def test_gradient_step_skips_overflowing_candidates():
     alpha = 1e300 / -grad
     cfg = OptimizerConfig(alpha_min=alpha, alpha_max=alpha)
     with pytest.raises(NonFiniteLikelihoodError):
-        neg_log_ml(ctx, Hyperparameters(eta0.lam - alpha * grad, eta0.beta))
+        value_at(ctx, Hyperparameters(eta0.lam - alpha * grad, eta0.beta))
     state = fresh_state(ctx, eta0, cfg, lambda_only=True)
     rep = gradient_step(ctx, state, eta0, "bb", cfg)
     assert rep.backtracks >= 1
@@ -192,7 +202,7 @@ def test_posterior_scalar_example():
     # mean 1/2 and covariance 1/2, so the second moment is 1/2 + 1/4
     ctx = scalar_context()
     f = _factorize(ctx, Hyperparameters(1.0, 1.0))
-    np.testing.assert_allclose(posterior_mean(ctx, f.eta), [0.5])
+    np.testing.assert_allclose(_mean(f), [0.5])
     diag, off = _moment_bands(ctx, f)
     np.testing.assert_allclose(diag, [0.75])
     assert off.shape == (0,)
@@ -205,7 +215,7 @@ def test_posterior_matches_direct_solve():
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 8, 40)))
         eta = random_eta(rng)
         mean, cov = dense_posterior(ctx, eta)
-        np.testing.assert_allclose(posterior_mean(ctx, eta), mean, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(mean_at(ctx, eta), mean, rtol=1e-8, atol=1e-10)
         # the two bands of the second moment M = P + h h' are all EM reads of P
         second = cov + np.outer(mean, mean)
         diag, off = _moment_bands(ctx, _factorize(ctx, eta))
@@ -217,14 +227,14 @@ def test_posterior_degenerate_and_dominated_cases():
     rng = np.random.default_rng(37)
     ctx, _, _ = random_instance(rng, 4, 30)
     degenerate = Hyperparameters(0.0, 0.5)
-    np.testing.assert_array_equal(posterior_mean(ctx, degenerate), np.zeros(4))
+    np.testing.assert_array_equal(mean_at(ctx, degenerate), np.zeros(4))
     diag, off = _moment_bands(ctx, _factorize(ctx, degenerate))
     np.testing.assert_array_equal(diag, np.zeros(4))
     np.testing.assert_array_equal(off, np.zeros(3))
     # enormous noise floor shrinks the estimate toward the prior mean
     loud = MLContext(ctx.stats, 1e9 * ctx.sigma2)
-    shrunk = posterior_mean(loud, Hyperparameters(1.0, 0.7))
-    assert np.linalg.norm(shrunk) < 1e-6 * np.linalg.norm(posterior_mean(ctx, Hyperparameters(1.0, 0.7)))
+    shrunk = mean_at(loud, Hyperparameters(1.0, 0.7))
+    assert np.linalg.norm(shrunk) < 1e-6 * np.linalg.norm(mean_at(ctx, Hyperparameters(1.0, 0.7)))
 
 
 def test_evaluation_cost_ignores_stream_length():
@@ -244,14 +254,14 @@ def test_evaluation_cost_ignores_stream_length():
         best = np.inf
         for _ in range(15):
             t0 = time.perf_counter()
-            neg_log_ml(ctx, eta)
+            value_at(ctx, eta)
             best = min(best, time.perf_counter() - t0)
         return best
 
     short_ctx = context(200)
     long_ctx = context(20000)
-    neg_log_ml(short_ctx, eta)  # warm caches
-    neg_log_ml(long_ctx, eta)
+    value_at(short_ctx, eta)  # warm caches
+    value_at(long_ctx, eta)
     # interleave measurement blocks so load spikes hit both sizes alike;
     # timing noise is additive, so the min over blocks estimates true cost
     short = long = np.inf

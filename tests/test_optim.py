@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from bayesfir.kernel import Hyperparameters, NotPositiveDefiniteError, unit_kernel_inverse_bands
-from bayesfir.likelihood import MLContext, _factorize, _lambda_split, _moment_bands, neg_log_ml
+from bayesfir.kernel import Hyperparameters, NotPositiveDefiniteError
+from bayesfir.likelihood import MLContext, _factorize, _lambda_split, _mean, _moment_bands, _value
 from bayesfir.optim import (
     OptimizerConfig,
     OptimizerState,
     _em_profile,
     _grad_at,
-    _inverse_kernel_trace,
     bb_stepsize,
     bfgs_update,
     em_step,
-    em_variant_step,
     fresh_state,
     gradient_step,
     opt_until_convergence,
@@ -23,7 +21,7 @@ from bayesfir.optim import (
 )
 from bayesfir.stats import SufficientStats
 
-from oracles import random_eta, random_instance, unit_kernel_logdet
+from oracles import random_eta, random_instance, unit_kernel_inverse_bands, unit_kernel_logdet
 
 CFG = OptimizerConfig()
 
@@ -134,7 +132,7 @@ def test_gradient_step_decreases_objective():
     rng = np.random.default_rng(11)
     for method in ("bb", "sgp", "bfgs"):
         ctx, _, _ = random_instance(rng, 5, 40)
-        star, _ = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 5), 0.9))
+        star = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 5), 0.9))[0].eta_new
         eta0 = Hyperparameters(star.lam * 3.0, min(star.beta + 0.05, 0.99))
         state = fresh_state(ctx, eta0, CFG)
         rep = gradient_step(ctx, state, eta0, method, CFG)
@@ -159,7 +157,7 @@ def test_gradient_step_rejects_unknown_method():
 def test_gradient_step_exhausted_line_search_leaves_eta():
     rng = np.random.default_rng(13)
     ctx, _, _ = random_instance(rng, 4, 40)
-    star, _ = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 4), 0.9))
+    star = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 4), 0.9))[0].eta_new
     eta0 = Hyperparameters(star.lam * 1.05, star.beta)
     # Armijo with c = 1 demands the full linear-model decrease, which convex
     # curvature near the optimum denies for every step length.
@@ -175,7 +173,7 @@ def test_gradient_step_exhausted_line_search_leaves_eta():
 def test_bfgs_resets_curvature_after_failed_search():
     rng = np.random.default_rng(17)
     ctx, _, _ = random_instance(rng, 4, 40)
-    star, _ = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 4), 0.9))
+    star = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 4), 0.9))[0].eta_new
     eta0 = Hyperparameters(star.lam * 1.05, star.beta)
     brutal = OptimizerConfig(armijo_c=1.0, alpha_min=1e7, alpha_max=1e7, max_backtracks=6)
     state = fresh_state(ctx, eta0, brutal)
@@ -186,14 +184,16 @@ def test_bfgs_resets_curvature_after_failed_search():
 
 
 def test_em_hand_computed_updates():
+    # at n = 1 the kernel inverse 1 / beta exists at beta = 1, while the
+    # profiled objective's log(1 - beta) term does not
     ctx = em_example_context()
     eta = Hyperparameters(1.0, 1.0)
-    assert em_variant_step(ctx, eta, "em1").eta_new.lam == pytest.approx(4.0, abs=1e-12)
-    rep = em_variant_step(ctx, eta, "em2")
+    assert em_step(ctx, eta, "em1").eta_new.lam == pytest.approx(4.0, abs=1e-12)
+    rep = em_step(ctx, eta, "em2")
     assert rep.eta_new.lam == pytest.approx(4.5, abs=1e-12)
     assert rep.eta_new.beta == 1.0
     with pytest.raises(ValueError):
-        em_variant_step(ctx, eta, "em")
+        em_step(ctx, eta, "bb")
 
 
 def test_em1_never_exceeds_em2():
@@ -202,8 +202,8 @@ def test_em1_never_exceeds_em2():
         n = int(rng.integers(2, 7))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 8, 40)))
         eta = random_eta(rng)
-        em1 = em_variant_step(ctx, eta, "em1", need_ml=False).eta_new.lam
-        em2 = em_variant_step(ctx, eta, "em2", need_ml=False).eta_new.lam
+        em1 = em_step(ctx, eta, "em1").eta_new.lam
+        em2 = em_step(ctx, eta, "em2").eta_new.lam
         assert em1 <= em2 + 1e-14
 
 
@@ -214,11 +214,10 @@ def test_em_variants_send_lambda_to_zero_at_zero_beta():
     ctx, _, _ = random_instance(rng, 20, 120)
     for lam in (0.0, 1.0):
         eta = Hyperparameters(lam, 0.0)
-        for method in ("em1", "em2"):
-            rep = em_variant_step(ctx, eta, method)
+        for method in ("em", "em1", "em2"):
+            rep = em_step(ctx, eta, method)
             assert (rep.eta_new.lam, rep.eta_new.beta) == (0.0, 0.0)
             assert np.isfinite(rep.ml_before) and rep.ml_after == rep.ml_before
-        assert em_step(ctx, eta).eta_new.lam == 0.0
 
 
 def test_em1_is_zero_without_signal():
@@ -227,8 +226,8 @@ def test_em1_is_zero_without_signal():
     )
     ctx = MLContext(stats, 1.0)
     eta = Hyperparameters(1.0, 0.5)
-    assert em_variant_step(ctx, eta, "em1").eta_new.lam == 0.0
-    assert em_variant_step(ctx, eta, "em2").eta_new.lam > 0.0
+    assert em_step(ctx, eta, "em1").eta_new.lam == 0.0
+    assert em_step(ctx, eta, "em2").eta_new.lam > 0.0
 
 
 def test_gradient_lambda_step_equals_em2():
@@ -241,7 +240,7 @@ def test_gradient_lambda_step_equals_em2():
         eta = random_eta(rng)
         v_lam, u_lam = _lambda_split(ctx, _factorize(ctx, eta))
         stepped = eta.lam - (eta.lam**2 / n) * (v_lam - u_lam)
-        expected = em_variant_step(ctx, eta, "em2", need_ml=False).eta_new.lam
+        expected = em_step(ctx, eta, "em2").eta_new.lam
         assert abs(stepped - expected) <= 1e-10 * (1.0 + abs(expected))
 
 
@@ -250,7 +249,7 @@ def test_em_step_never_increases_objective():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 8, 40)))
-        rep = em_step(ctx, random_eta(rng), CFG)
+        rep = em_step(ctx, random_eta(rng), "em", CFG)
         assert rep.ml_after <= rep.ml_before + 1e-10 * (1.0 + abs(rep.ml_before))
         assert 0.0 <= rep.eta_new.beta <= 1.0
         assert rep.eta_new.lam >= 0.0
@@ -258,9 +257,10 @@ def test_em_step_never_increases_objective():
 
 def test_em_step_degenerate_posterior_short_circuits():
     ctx, _, _ = random_instance(np.random.default_rng(31), 3, 20)
-    rep = em_step(ctx, Hyperparameters(0.0, 0.7), CFG)
+    rep = em_step(ctx, Hyperparameters(0.0, 0.7), "em", CFG)
     assert rep.eta_new.lam == 0.0
     assert rep.eta_new.beta == 0.7
+    assert rep.factors.eta == rep.eta_new
 
 
 def test_em_profile_matches_banded_form():
@@ -268,52 +268,77 @@ def test_em_profile_matches_banded_form():
     n = 80
     ctx, _, _ = random_instance(rng, n, 400)
     diag, off = _moment_bands(ctx, _factorize(ctx, Hyperparameters(1.0, 0.9)))
-    profile = _em_profile(diag, off)
+    lam_star, objective = _em_profile(diag, off)
     for beta in (1e-3, 0.01, 0.5, 0.9, 1.0 - 1e-6):
-        lam = _inverse_kernel_trace(n, beta, diag, off) / n
+        d, e = unit_kernel_inverse_bands(n, beta)
+        lam = (float(d @ diag) + 2.0 * float(e @ off)) / n
         want = n * np.log(lam) + unit_kernel_logdet(n, beta)
-        g, lam_star = profile(beta)
-        assert abs(g - want) <= 1e-12 * abs(want), beta
-        assert abs(lam_star - lam) <= 1e-12 * lam, beta
-    # beta**80 underflows: the banded form raises, the profile is inf
-    with pytest.raises(NotPositiveDefiniteError):
-        unit_kernel_inverse_bands(n, 1e-5)
-    assert profile(1e-5)[0] == np.inf
+        assert abs(objective(beta) - want) <= 1e-12 * abs(want), beta
+        assert abs(lam_star(beta) - lam) <= 1e-12 * lam, beta
+    # beta**80 underflows: the inverse does not exist and the profile is inf
+    assert lam_star(1e-5) == np.inf and objective(1e-5) == np.inf
 
 
-def test_need_ml_flag_only_affects_the_report():
+def test_em_profile_is_inf_where_the_kernel_inverse_does_not_exist():
+    ones = np.ones(3)
+    lam_star, _ = _em_profile(ones, ones[:-1])
+    assert lam_star(0.0) == np.inf  # zero kernel
+    assert lam_star(1.0) == np.inf  # rank-one kernel
+    assert lam_star(0.5) > 0.0
+    lam_star, _ = _em_profile(np.ones(1), np.zeros(0))
+    assert lam_star(0.0) == np.inf
+    assert lam_star(1.0) == 1.0  # the n = 1 kernel is beta itself
+    lam_star, _ = _em_profile(np.ones(1040), np.zeros(1039))
+    assert lam_star(0.5) == np.inf  # 0.5**1040 is subnormal and the inverse overflows
+
+
+def test_em_variants_raise_where_the_kernel_inverse_does_not_exist():
+    # beta frozen where the inverse is singular (beta = 1) or beta**n
+    # underflows: em1/em2 raise, while em searches beta inside the box
+    ctx, _, _ = random_instance(np.random.default_rng(61), 80, 240)
+    for eta in (Hyperparameters(1.0, 1.0), Hyperparameters(1.0, 1e-5)):
+        for method in ("em1", "em2"):
+            with pytest.raises(NotPositiveDefiniteError):
+                em_step(ctx, eta, method)
+        assert 0.0 < em_step(ctx, eta, "em").eta_new.beta < 1.0
+
+
+def test_em_step_reports_the_factor_at_its_new_eta():
     ctx, _, _ = random_instance(np.random.default_rng(37), 4, 30)
     eta = Hyperparameters(0.5, 0.8)
-    full = em_step(ctx, eta, CFG, need_ml=True)
-    bare = em_step(ctx, eta, CFG, need_ml=False)
-    assert bare.eta_new == full.eta_new
-    assert np.isnan(bare.ml_before) and np.isnan(bare.ml_after)
-    full = em_variant_step(ctx, eta, "em1", need_ml=True)
-    bare = em_variant_step(ctx, eta, "em1", need_ml=False)
-    assert bare.eta_new == full.eta_new
-    assert np.isnan(bare.ml_before) and np.isnan(bare.ml_after)
+    for method in ("em", "em1", "em2"):
+        rep = em_step(ctx, eta, method, CFG)
+        assert rep.factors.eta == rep.eta_new
+        fresh = _factorize(ctx, rep.eta_new)
+        np.testing.assert_array_equal(_mean(rep.factors), _mean(fresh))
+        assert rep.ml_after == _value(ctx, fresh)
+        assert rep.ml_before == _value(ctx, _factorize(ctx, eta))
 
 
 def test_opt_until_convergence_improves_and_stabilizes():
     rng = np.random.default_rng(41)
     ctx, _, _ = random_instance(rng, 5, 45)
     eta0 = Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 5), 0.9)
-    before = neg_log_ml(ctx, eta0)
+    before = _value(ctx, _factorize(ctx, eta0))
     for method in ("bb", "sgp", "bfgs", "em"):
-        eta, info = opt_until_convergence(ctx, eta0, method=method)
-        after = neg_log_ml(ctx, eta)
+        rep, info = opt_until_convergence(ctx, eta0, method=method)
+        assert rep.factors.eta == rep.eta_new
+        after = _value(ctx, rep.factors)
+        assert after == _value(ctx, _factorize(ctx, rep.eta_new))
         assert after <= before + 1e-9 * (1.0 + abs(before))
         assert 1 <= info.iterations <= CFG.opt_max_iter
         if method == "em":
             assert info.state is None
     with pytest.raises(ValueError):
         opt_until_convergence(ctx, eta0, method="nope")
+    with pytest.raises(ValueError):  # no iteration, so no report to return
+        opt_until_convergence(ctx, eta0, cfg=OptimizerConfig(opt_max_iter=0))
 
 
 def test_opt_until_convergence_lambda_only_freezes_beta():
     ctx, _, _ = random_instance(np.random.default_rng(43), 4, 35)
     eta0 = Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 4), 0.85)
-    eta, _ = opt_until_convergence(ctx, eta0, method="sgp", lambda_only=True)
+    eta = opt_until_convergence(ctx, eta0, method="sgp", lambda_only=True)[0].eta_new
     assert eta.beta == eta0.beta
     assert eta.lam != eta0.lam
 
@@ -324,7 +349,7 @@ def test_opt_starts_agree_on_the_minimum():
     scale = ctx.stats.ybar / (ctx.stats.nbar * 4)
     a, _ = opt_until_convergence(ctx, Hyperparameters(scale, 0.9))
     b, _ = opt_until_convergence(ctx, Hyperparameters(50.0 * scale, 0.5))
-    la, lb = neg_log_ml(ctx, a), neg_log_ml(ctx, b)
+    la, lb = a.ml_after, b.ml_after
     print(f"start sensitivity: {abs(la - lb):.3e} on |L| ~ {abs(la):.3e}")
     assert np.isfinite(la) and np.isfinite(lb)
 

@@ -1,7 +1,8 @@
-"""Every module-level name in the package is used by the package or exported.
+"""Every name and every defaulted parameter in the package is used by the package.
 
-A definition that only tests call is code no run executes; this check keeps
-it from piling up.  Definitions are module-level functions, classes and
+A definition that only tests call is code no run executes, and a parameter
+that no package caller passes is a knob no run turns; these checks keep
+both from piling up.  Definitions are module-level functions, classes and
 assigned names; a reference is any name or attribute read in a module other
 than ``__init__.py``, so an import alone does not count.
 """
@@ -57,3 +58,71 @@ def test_no_definition_is_unused_and_unexported():
         and not (name.startswith("__") and name.endswith("__"))
     )
     assert not unused, f"defined but never used in the package nor exported: {unused}"
+
+
+# entry points called from outside the package, with their defaulted parameters
+ENTRY_POINTS = {("cli.py", "main")}
+
+
+def _functions(tree):
+    """(name, node, is_method) for module-level functions and class methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list
+                    )
+                    # a class is called by its own name to reach __init__
+                    yield (node.name if item.name == "__init__" else item.name), item, not static
+
+
+def _defaulted(node, is_method):
+    """(position or None, name) of every parameter that has a default."""
+    positional = node.args.posonlyargs + node.args.args
+    offset = 1 if is_method else 0
+    first = len(positional) - len(node.args.defaults)
+    for index in range(first, len(positional)):
+        yield index - offset, positional[index].arg
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield node.func.id, node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
+def _passes(call, position, name):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if position is not None and len(call.args) > position:
+        return True
+    return any(kw.arg in (name, None) for kw in call.keywords)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    defaulted = []
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for callee, call in _calls(tree):
+            calls.setdefault(callee, []).append(call)
+        for name, node, is_method in _functions(tree):
+            if (path.name, name) in ENTRY_POINTS:
+                continue
+            for position, param in _defaulted(node, is_method):
+                defaulted.append((path.name, name, position, param))
+    unpassed = sorted(
+        f"{module}:{name}({param})"
+        for module, name, position, param in defaulted
+        if not any(_passes(call, position, param) for call in calls.get(name, ()))
+    )
+    assert not unpassed, f"defaulted parameters no package call passes: {unpassed}"

@@ -126,12 +126,14 @@ def test_protocol_draws_match_the_scipy_path(monkeypatch):
         assert _same_bits(u, ref_u) and tail == ref_tail
 
 
-def test_undecayed_draws_are_rejected_or_disabled():
+def test_undecayed_draws_are_rejected_or_disabled(monkeypatch):
     rng = np.random.default_rng(107)
+    monkeypatch.setattr(simgen, "MAX_RETRIES", 5)
+    with pytest.raises(RuntimeError, match="after 5 draws"):
+        random_system(rng, 3)  # no order-5 system dies in 3 taps
+    monkeypatch.setattr(simgen, "MAX_RETRIES", 0)
     with pytest.raises(RuntimeError):
-        random_system(rng, 3, max_retries=5)  # no order-5 system dies in 3 taps
-    sys = random_system(rng, 3, decay_tol=None)
-    assert sys.h_true.shape == (3,)
+        random_system(rng, 80)  # admissible at n = 80, but no draw is allowed
 
 
 def test_bandlimited_input_statistics():
@@ -209,6 +211,11 @@ def test_dataset_errors_name_the_line(tmp_path):
     bad_value.write_text("u,y\n1.0,2.0\nx,3.0\n")
     with pytest.raises(ValueError, match="line 3"):
         load_dataset(bad_value)
+    for text in ("nan,1.0", "1.0,inf", "-inf,1.0", "1e400,1.0"):
+        non_finite = tmp_path / "f.csv"
+        non_finite.write_text(f"u,y\n1.0,2.0\n3.0,4.0\n{text}\n")
+        with pytest.raises(ValueError, match="line 4: non-finite"):
+            load_dataset(non_finite)
     empty = tmp_path / "e.csv"
     empty.write_text("u,y\n")
     with pytest.raises(ValueError, match="no samples"):
