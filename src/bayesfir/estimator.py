@@ -125,11 +125,11 @@ class OnlineEstimator:
         lam0 = stats.ybar / (stats.nbar * self.n)
         eta0 = Hyperparameters(lam0, BETA0)
         ctx = MLContext(stats, sigma2)
-        rep, info = opt_until_convergence(ctx, eta0, "sgp", self.config)
+        rep, _ = opt_until_convergence(ctx, eta0, "sgp", self.config)
         active = (0,) if self.lambda_only else (0, 1)
         state = OptimizerState(
-            eta_prev=info.state.eta_prev.copy(),
-            grad_prev=info.state.grad_prev[list(active)].copy(),
+            eta_prev=rep.state.eta_prev,
+            grad_prev=rep.state.grad_prev[list(active)],
             tau=self.config.tau0,
             active=active,
         )
@@ -166,8 +166,8 @@ class OnlineEstimator:
                 lambda_only=self.lambda_only,
             )
         elif self.method in GRADIENT_METHODS:
-            state_new = self._opt_state.copy()
-            rep = gradient_step(ctx, state_new, self._eta, self.method, self.config)
+            rep = gradient_step(ctx, self._opt_state, self._eta, self.method, self.config)
+            state_new = rep.state
         else:
             rep = em_step(ctx, self._eta, self.method, self.config)
 

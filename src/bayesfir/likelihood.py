@@ -69,23 +69,6 @@ class MLContext:
         object.__setattr__(self, "cum_y", np.cumsum(self.stats.ytilde))
 
 
-@dataclass(frozen=True)
-class GradientSplit:
-    """Gradient of the negative log marginal likelihood as grad = V - U.
-
-    V collects the positive (log-determinant side) parts and U the
-    nonnegative (data fit side) parts; scaled projected methods use V alone
-    to build their diagonal metric.
-    """
-
-    V: np.ndarray
-    U: np.ndarray
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self.V - self.U
-
-
 class _Factors(NamedTuple):
     eta: Hyperparameters
     d: np.ndarray  # root weights, K = U diag(d^2) U'
@@ -180,10 +163,13 @@ def _lambda_terms(ctx: MLContext, f: _Factors, sinv: np.ndarray):
     return v_lam, u_lam, q
 
 
-def _split(ctx: MLContext, f: _Factors) -> GradientSplit:
+def _split(ctx: MLContext, f: _Factors) -> tuple:
     """Sign-split gradient (V, U) of the negative log marginal likelihood at f.eta.
 
-    f.eta must be interior.  The beta component is assembled blockwise: the
+    The gradient is V - U: V collects the positive (log-determinant side)
+    parts and U the nonnegative (data fit side) parts, and scaled projected
+    methods use V alone to build their diagonal metric.  f.eta must be
+    interior.  The beta component is assembled blockwise: the
     derivative kernel d K_b / d beta decomposes over leading-block indicators
     with weights of either sign (kernel.dbeta_block_weights), and each block
     contributes a nonnegative trace and a nonnegative quadratic term, routed
@@ -209,12 +195,12 @@ def _split(ctx: MLContext, f: _Factors) -> GradientSplit:
     v_beta = eta.lam * (cpos @ tv + cneg @ tu)
     u_beta = eta.lam * (cneg @ tv + cpos @ tu)
 
-    split = GradientSplit(V=np.array([v_lam, v_beta]), U=np.array([u_lam, u_beta]))
-    if not np.all(np.isfinite(split.V)) or not np.all(np.isfinite(split.U)):
+    v, u = np.array([v_lam, v_beta]), np.array([u_lam, u_beta])
+    if not np.all(np.isfinite(v)) or not np.all(np.isfinite(u)):
         raise NonFiniteLikelihoodError(
             f"non-finite gradient at eta=({eta.lam!r}, {eta.beta!r})"
         )
-    return split
+    return v, u
 
 
 def _lambda_split(ctx: MLContext, f: _Factors) -> tuple:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -64,13 +64,14 @@ class OptimizerConfig:
     em_max_evals: int = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerState:
     """Cross-batch memory for the gradient-based one-step updaters.
 
     ``active`` selects the coordinates being optimized: (0,) freezes beta and
     updates lam only, (0, 1) updates both.  ``grad_prev`` and ``b_prev`` live
-    on the active coordinates.
+    on the active coordinates.  A state is never changed after it is built:
+    gradient_step returns the next one in its report.
     """
 
     eta_prev: np.ndarray
@@ -81,16 +82,7 @@ class OptimizerState:
 
     def __post_init__(self):
         if self.b_prev is None:
-            self.b_prev = np.eye(len(self.active))
-
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(
-            eta_prev=self.eta_prev.copy(),
-            grad_prev=self.grad_prev.copy(),
-            tau=self.tau,
-            active=self.active,
-            b_prev=self.b_prev.copy(),
-        )
+            object.__setattr__(self, "b_prev", np.eye(len(self.active)))
 
 
 @dataclass(frozen=True)
@@ -105,11 +97,8 @@ class StepReport:
     # factor at eta_new, so the caller forms the posterior mean without
     # factorizing again
     factors: likelihood._Factors = field(repr=False, compare=False)
-
-
-class OptInfo(NamedTuple):
-    state: Optional[OptimizerState]
-    iterations: int
+    # optimizer state for the next gradient step (None after an EM step)
+    state: Optional[OptimizerState] = field(repr=False, compare=False)
 
 
 def _clamp_box(arr: np.ndarray) -> np.ndarray:
@@ -204,8 +193,8 @@ def _grad_at(ctx: MLContext, eta: Hyperparameters, active: tuple, cfg: Optimizer
     if active == (0,):
         v_lam, u_lam = _lambda_split(ctx, f)
         return np.array([v_lam - u_lam]), np.array([v_lam]), f
-    split = _split(ctx, f)
-    return split.grad, split.V, f
+    v, u = _split(ctx, f)
+    return v - u, v, f
 
 
 def gradient_step(
@@ -215,10 +204,10 @@ def gradient_step(
     method: str,
     cfg: OptimizerConfig = None,
 ) -> StepReport:
-    """One projected scaled-gradient iteration; mutates ``state`` in place.
+    """One projected scaled-gradient iteration from ``state``, which is left as it was.
 
-    After the call the state holds the pre-step iterate and its gradient,
-    which is exactly the secant seed the next batch needs.  An interior eta
+    The report's state holds the pre-step iterate and its gradient, which is
+    exactly the secant seed the next batch needs.  An interior eta
     is factorized once, for the gradient and the value alike, and each
     line-search candidate once; the report carries the factor at eta_new.
     """
@@ -276,16 +265,11 @@ def gradient_step(
                 f = f_c
                 break
 
-    state.eta_prev = eta_arr
-    state.grad_prev = grad_act
-    state.tau = tau_new
-    if method == "bfgs":
-        if gamma == 0.0:
-            # A rejected (or ascent) direction means the accumulated curvature
-            # model has gone stale; restarting from identity is cheaper than
-            # paying a full failed line search on every subsequent batch.
-            b_new = np.eye(len(act))
-        state.b_prev = b_new
+    if method == "bfgs" and gamma == 0.0:
+        # A rejected (or ascent) direction means the accumulated curvature
+        # model has gone stale; restarting from identity is cheaper than
+        # paying a full failed line search on every subsequent batch.
+        b_new = np.eye(len(act))
     return StepReport(
         eta_new=eta_new,
         ml_before=ml_before,
@@ -293,6 +277,7 @@ def gradient_step(
         gamma=gamma,
         backtracks=backtracks,
         factors=f,
+        state=OptimizerState(eta_arr, grad_act, tau_new, state.active, b_new),
     )
 
 
@@ -416,7 +401,7 @@ def em_step(
         eta_new = Hyperparameters(max(lam_new, 0.0), eta.beta)
 
     f_new = likelihood._factorize(ctx, eta_new)
-    return StepReport(eta_new, _value(ctx, f), _value(ctx, f_new), 1.0, 0, f_new)
+    return StepReport(eta_new, _value(ctx, f), _value(ctx, f_new), 1.0, 0, f_new, None)
 
 
 def fresh_state(
@@ -452,10 +437,10 @@ def opt_until_convergence(
     """Iterate the chosen updater on fixed data until the objective settles.
 
     Stops when |L_j - L_{j-1}| <= opt_tol * (1 + |L_j|) or after opt_max_iter
-    iterations.  Returns (StepReport, OptInfo): the last iteration's report,
-    whose eta_new is the result and whose factor gives its posterior mean,
-    and the final optimizer state (whose eta_prev/grad_prev form a secant
-    seed; None for EM) with the iteration count.
+    iterations.  Returns (StepReport, iterations): the last iteration's
+    report, whose eta_new is the result, whose factor gives its posterior
+    mean and whose state (None for EM) holds a secant seed in its
+    eta_prev/grad_prev, with the iteration count.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -470,10 +455,11 @@ def opt_until_convergence(
     for _ in range(cfg.opt_max_iter):
         if method in GRADIENT_METHODS:
             rep = gradient_step(ctx, state, eta, method, cfg)
+            state = rep.state
         else:
             rep = em_step(ctx, eta, method, cfg)
         eta = rep.eta_new
         iterations += 1
         if abs(rep.ml_after - rep.ml_before) <= cfg.opt_tol * (1.0 + abs(rep.ml_after)):
             break
-    return rep, OptInfo(state=state, iterations=iterations)
+    return rep, iterations

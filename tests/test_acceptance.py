@@ -185,7 +185,7 @@ def test_criterion_6_secant_feasibility_and_armijo_suites():
                     slack = rep.ml_after - rep.ml_before - CFG.armijo_c * float(grad_act @ moved)
                     worst_armijo = max(worst_armijo, slack / (1.0 + abs(rep.ml_before)))
                     armijo_cases += 1
-                eta = rep.eta_new
+                eta, state = rep.eta_new, rep.state
         for method in ("em", "em1", "em2"):
             eta = eta0
             for _ in range(4):

@@ -1,5 +1,7 @@
 """Step-size rules, one-step updaters, EM, and the full optimization loop."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,8 @@ def test_secant_pair_displacements():
     r, w = secant_pair(state, np.array([2.0, 0.5]), np.array([3.0, 0.0]))
     np.testing.assert_array_equal(r, [1.0, 0.0])
     np.testing.assert_array_equal(w, [2.0, 0.0])
+    with pytest.raises(FrozenInstanceError):
+        state.tau = 0.7
     lam_state = OptimizerState(
         eta_prev=np.array([1.0, 0.5]), grad_prev=np.array([1.0]),
         tau=0.5, active=(0,),
@@ -135,6 +139,7 @@ def test_gradient_step_decreases_objective():
         star = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 5), 0.9))[0].eta_new
         eta0 = Hyperparameters(star.lam * 3.0, min(star.beta + 0.05, 0.99))
         state = fresh_state(ctx, eta0, CFG)
+        seed = (state.eta_prev.copy(), state.grad_prev.copy(), state.tau, state.b_prev.copy())
         rep = gradient_step(ctx, state, eta0, method, CFG)
         assert rep.gamma > 0.0
         assert rep.ml_after < rep.ml_before
@@ -143,8 +148,12 @@ def test_gradient_step_decreases_objective():
         moved = rep.eta_new.as_array() - eta0.as_array()
         bound = rep.ml_before + CFG.armijo_c * float(grad_act @ moved)
         assert rep.ml_after <= bound + 1e-10 * (1.0 + abs(rep.ml_before))
-        # the state now carries the pre-step iterate as the next secant seed
-        np.testing.assert_array_equal(state.eta_prev, eta0.as_array())
+        # the next state carries the pre-step iterate as the next secant
+        # seed, and the state passed in is left as it was
+        np.testing.assert_array_equal(rep.state.eta_prev, eta0.as_array())
+        np.testing.assert_array_equal(rep.state.grad_prev, grad_act)
+        for before, after in zip(seed, (state.eta_prev, state.grad_prev, state.tau, state.b_prev)):
+            np.testing.assert_array_equal(after, before)
 
 
 def test_gradient_step_rejects_unknown_method():
@@ -176,11 +185,10 @@ def test_bfgs_resets_curvature_after_failed_search():
     star = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 4), 0.9))[0].eta_new
     eta0 = Hyperparameters(star.lam * 1.05, star.beta)
     brutal = OptimizerConfig(armijo_c=1.0, alpha_min=1e7, alpha_max=1e7, max_backtracks=6)
-    state = fresh_state(ctx, eta0, brutal)
-    state.b_prev = np.array([[2.0, 0.1], [0.1, 3.0]])
+    state = replace(fresh_state(ctx, eta0, brutal), b_prev=np.array([[2.0, 0.1], [0.1, 3.0]]))
     rep = gradient_step(ctx, state, eta0, "bfgs", brutal)
     assert rep.gamma == 0.0
-    np.testing.assert_array_equal(state.b_prev, np.eye(2))
+    np.testing.assert_array_equal(rep.state.b_prev, np.eye(2))
 
 
 def test_em_hand_computed_updates():
@@ -321,14 +329,13 @@ def test_opt_until_convergence_improves_and_stabilizes():
     eta0 = Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 5), 0.9)
     before = _value(ctx, _factorize(ctx, eta0))
     for method in ("bb", "sgp", "bfgs", "em"):
-        rep, info = opt_until_convergence(ctx, eta0, method=method)
+        rep, iterations = opt_until_convergence(ctx, eta0, method=method)
         assert rep.factors.eta == rep.eta_new
         after = _value(ctx, rep.factors)
         assert after == _value(ctx, _factorize(ctx, rep.eta_new))
         assert after <= before + 1e-9 * (1.0 + abs(before))
-        assert 1 <= info.iterations <= CFG.opt_max_iter
-        if method == "em":
-            assert info.state is None
+        assert 1 <= iterations <= CFG.opt_max_iter
+        assert (rep.state is None) == (method == "em")
     with pytest.raises(ValueError):
         opt_until_convergence(ctx, eta0, method="nope")
     with pytest.raises(ValueError):  # no iteration, so no report to return
@@ -365,7 +372,7 @@ def test_updater_outputs_stay_feasible():
             state = fresh_state(ctx, eta, CFG)
             for _ in range(8):
                 rep = gradient_step(ctx, state, eta, method, CFG)
-                eta = rep.eta_new
+                eta, state = rep.eta_new, rep.state
                 assert np.isfinite(eta.lam) and eta.lam >= 0.0
                 assert 0.0 <= eta.beta <= 1.0
                 cases += 1
