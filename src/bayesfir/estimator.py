@@ -26,14 +26,7 @@ from .optim import (
     gradient_step,
     opt_until_convergence,
 )
-from .stats import (
-    Batch,
-    NOISE_FLOOR,
-    SufficientStats,
-    ingest,
-    ls_estimate,
-    noise_variance,
-)
+from .stats import Batch, SufficientStats, ingest, noise_variance
 
 BETA0 = 0.9  # initial kernel decay before the warmup optimization
 MODES = ("onestep", "opt")
@@ -55,14 +48,14 @@ class OnlineEstimator:
     """Streaming FIR estimator with one-step hyperparameter adaptation.
 
     Every batch, single samples included, takes the same path: ingest, the
-    ridge-guarded least squares of ``stats.ls_estimate`` for the noise
-    variance, one hyperparameter update, and the posterior mean.  The
-    likelihood evaluations behind the update factor only an n-by-n inner
-    matrix built from the TC kernel's closed-form square root; the kernel
-    itself and the posterior covariance are never formed.  Every update (a
-    gradient step, an EM step, or the last iteration of a full
-    re-optimization) hands back the factor at its new eta, so the mean costs
-    no further factorization.
+    noise variance from the ridge-guarded least-squares residual of
+    ``stats.noise_variance``, one hyperparameter update, and the posterior
+    mean.  The likelihood evaluations behind the update factor only an
+    n-by-n inner matrix built from the TC kernel's closed-form square root;
+    the kernel itself and the posterior covariance are never formed.  Every
+    update (a gradient step, an EM step, or the last iteration of a full
+    re-optimization) hands back the factor at its new eta, so the mean
+    costs no further factorization.
 
     Parameters
     ----------
@@ -104,13 +97,6 @@ class OnlineEstimator:
     def initialized(self) -> bool:
         return self._stats is not None
 
-    def _noise(self, stats: SufficientStats, h_ls: np.ndarray) -> float:
-        if stats.nbar > stats.n:
-            return noise_variance(stats, h_ls)
-        # Too little data for the residual formula; bound the noise by the
-        # raw output power until the stream catches up.
-        return max(stats.ybar / max(stats.nbar, 1), NOISE_FLOOR)
-
     def initialize(self, u, y) -> None:
         """Warm up: ingest the first chunk and optimize eta to convergence.
 
@@ -120,8 +106,7 @@ class OnlineEstimator:
         """
         batch = Batch(u, y)
         stats = ingest(SufficientStats.empty(self.n), batch)
-        h_ls = ls_estimate(stats)
-        sigma2 = self._noise(stats, h_ls)
+        sigma2 = noise_variance(stats)
         lam0 = stats.ybar / (stats.nbar * self.n)
         eta0 = Hyperparameters(lam0, BETA0)
         ctx = MLContext(stats, sigma2)
@@ -151,7 +136,7 @@ class OnlineEstimator:
         start = time.perf_counter()
         batch = Batch(u, y)
         new_stats = ingest(self._stats, batch)
-        sigma2 = self._noise(new_stats, ls_estimate(new_stats))
+        sigma2 = noise_variance(new_stats)
         ctx = MLContext(new_stats, sigma2)
 
         state_new = self._opt_state

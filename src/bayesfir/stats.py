@@ -11,6 +11,9 @@ it.  Regressor rows follow the convention
 
 with inputs before time 1 taken as zero; the last n-1 inputs are carried
 across batch boundaries so rows at a boundary are exact.
+
+The noise variance is the least-squares residual, read off one Cholesky
+factor of the augmented Gram matrix [[R, ytilde], [ytilde', ybar]].
 """
 
 from __future__ import annotations
@@ -124,54 +127,54 @@ def ingest(stats: SufficientStats, batch: Batch) -> SufficientStats:
     )
 
 
-def _cholesky_solve(a: np.ndarray, b: np.ndarray):
-    """Solution of the symmetric system a x = b by Cholesky, or None when an
-    input is not finite or a is not numerically positive definite."""
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return None
-    c, info = lapack.dpotrf(a.T, lower=1)  # a.T: the same matrix in Fortran order
-    if info != 0:
-        return None
-    return lapack.dpotrs(c, b, lower=1)[0]
+def noise_variance(stats: SufficientStats) -> float:
+    """Noise variance: the least-squares residual over nbar - n, floored at NOISE_FLOOR.
 
+    The residual sum of squares min_h ||Y - Phi h||^2 = ybar - ytilde' R^-1 ytilde
+    is the square of the last pivot of the Cholesky factor of the augmented
+    Gram matrix [Phi Y]'[Phi Y] = [[R, ytilde], [ytilde', ybar]], so one
+    dpotrf gives it and the least-squares vector is never formed.
 
-def ls_estimate(stats: SufficientStats) -> np.ndarray:
-    """Least-squares solve R h = ytilde.
-
-    When the plain Cholesky factorization fails -- underdetermined early
+    When the factorization fails inside the R block -- underdetermined early
     stream, or a band-limited input whose sample Gram matrix stays numerically
-    singular well past nbar = n -- the solve falls back to the ridge system
-    R + RIDGE_SCALE * trace(R)/n * I and the result is provisional.  Only an
-    exactly unidentifiable problem raises: some regressor column carries zero
-    energy (a diagonal of R is zero) even though nbar >= n, so no amount of
-    further data at this excitation can pin that coefficient down.
+    singular well past nbar = n -- R is retried with the ridge
+    RIDGE_SCALE * trace(R)/n * I added, and the residual is then
+    ybar - ytilde' (R + ridge I)^-1 ytilde.  Only an exactly unidentifiable
+    problem raises: some regressor column carries zero energy (a diagonal of
+    R is zero) even though nbar >= n, so no amount of further data at this
+    excitation can pin that coefficient down.  A failed last pivot alone
+    means the residual rounded to zero or below (noise-free data); the floor
+    keeps downstream likelihood evaluations well defined.  Up to nbar = n
+    the residual carries no information, and the raw output power
+    ybar / nbar bounds the noise until the stream catches up.
     """
-    h = _cholesky_solve(stats.R, stats.ytilde)
-    if h is not None:
-        return h
-    if stats.nbar >= stats.n and np.any(np.diagonal(stats.R) <= 0.0):
-        raise RankDeficientError(
-            f"unexcited regressor lag: R has a zero diagonal with nbar={stats.nbar} >= n={stats.n}"
-        )
-    trace = float(np.trace(stats.R))
-    if trace <= 0.0:
-        return np.zeros(stats.n)
-    ridge = RIDGE_SCALE * trace / stats.n
-    h = _cholesky_solve(stats.R + ridge * np.eye(stats.n), stats.ytilde)
-    if h is None:
-        raise RankDeficientError("R is numerically singular even after ridge regularization")
-    return h
-
-
-def noise_variance(stats: SufficientStats, h_ls: np.ndarray) -> float:
-    """Residual noise variance (ybar - 2 ytilde'h + h'Rh) / (nbar - n), floored at NOISE_FLOOR.
-
-    The least-squares residual can round to zero (or slightly below) on
-    noise-free data; the floor keeps downstream likelihood evaluations
-    well defined.
-    """
-    if stats.nbar <= stats.n:
-        raise ValueError(f"noise variance needs nbar > n, got nbar={stats.nbar}, n={stats.n}")
-    h_ls = np.asarray(h_ls, dtype=float)
-    rss = stats.ybar - 2.0 * float(stats.ytilde @ h_ls) + float(h_ls @ stats.R @ h_ls)
-    return max(rss / (stats.nbar - stats.n), NOISE_FLOOR)
+    n, nbar = stats.n, stats.nbar
+    g = np.empty((n + 1, n + 1))
+    g[:n, :n] = stats.R
+    g[:n, n] = g[n, :n] = stats.ytilde
+    g[n, n] = stats.ybar
+    if not np.isfinite(g).all():
+        raise RankDeficientError("sufficient statistics are not finite")
+    # g is symmetric, so g.T is the same matrix in Fortran order; this first
+    # call factors a copy and leaves g for the ridge retry
+    s, info = lapack.dpotrf(g.T, lower=1)
+    if 0 < info <= n:
+        diag = np.diagonal(stats.R)
+        if nbar >= n and np.any(diag <= 0.0):
+            raise RankDeficientError(
+                f"unexcited regressor lag: R has a zero diagonal with nbar={nbar} >= n={n}"
+            )
+        trace = float(diag.sum())
+        if trace > 0.0:  # else R = 0, which the check above allows only while nbar < n
+            g.ravel()[: n * (n + 2) : n + 2] += RIDGE_SCALE * trace / n
+            s, info = lapack.dpotrf(g.T, lower=1, overwrite_a=1)
+            if 0 < info <= n:
+                raise RankDeficientError("R is numerically singular even after ridge regularization")
+    if nbar <= n:
+        return max(stats.ybar / max(nbar, 1), NOISE_FLOOR)
+    if info != 0:  # only the last pivot failed: the residual rounded to <= 0
+        return NOISE_FLOOR
+    pivot = float(s[n, n])
+    # pivot * pivot, not pivot ** 2: pow is not correctly rounded, and the
+    # product keeps sigma2 exactly equivariant under power-of-two rescaling
+    return max(pivot * pivot / (nbar - n), NOISE_FLOOR)

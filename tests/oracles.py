@@ -10,7 +10,7 @@ from scipy.signal import firwin, lfilter
 
 from bayesfir.kernel import Hyperparameters
 from bayesfir.likelihood import MLContext
-from bayesfir.stats import Batch, SufficientStats, ingest, ls_estimate, noise_variance
+from bayesfir.stats import Batch, SufficientStats, ingest
 
 
 def dense_tc_kernel(n, lam, beta):
@@ -58,6 +58,20 @@ def dense_regressors(u, n):
             if t - i >= 0:
                 phi[t, i] = u[t - i]
     return phi
+
+
+def dense_least_squares(u, y, n):
+    """(h, residual sum of squares) of the FIR least-squares fit, by numpy.linalg.lstsq."""
+    phi = dense_regressors(u, n)
+    h = np.linalg.lstsq(phi, y, rcond=None)[0]
+    r = y - phi @ h
+    return h, float(r @ r)
+
+
+def ridge_residual(stats, ridge):
+    """ybar - ytilde' (R + ridge I)^-1 ytilde by a dense solve."""
+    x = np.linalg.solve(stats.R + ridge * np.eye(stats.n), stats.ytilde)
+    return stats.ybar - float(stats.ytilde @ x)
 
 
 def dense_neg_log_ml(u, y, n, lam, beta, sigma2):
@@ -125,7 +139,7 @@ def random_instance(rng, n, nbar, snr=10.0):
     noise_var = float(np.var(y0)) / snr if np.var(y0) > 0.0 else 1.0
     y = y0 + np.sqrt(noise_var) * rng.standard_normal(nbar)
     stats = ingest(SufficientStats.empty(n), Batch(u, y))
-    sigma2 = noise_variance(stats, ls_estimate(stats))
+    sigma2 = dense_least_squares(u, y, n)[1] / (nbar - n)
     return MLContext(stats, sigma2), u, y
 
 

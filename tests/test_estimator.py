@@ -8,9 +8,9 @@ from bayesfir import estimator, likelihood, optim
 from bayesfir.likelihood import MLContext, _factorize, _mean
 from bayesfir.optim import OptimizerConfig, _interior
 from bayesfir.simgen import bandlimited_input, random_system, simulate_io
-from bayesfir.stats import ls_estimate, noise_variance
+from bayesfir.stats import noise_variance
 
-from oracles import dense_regressors
+from oracles import dense_least_squares, dense_regressors
 
 
 def make_stream(seed, n_samples, n=8, snr=8.0):
@@ -110,7 +110,7 @@ def test_pure_noise_warmup_shrinks_hard():
     y = rng.standard_normal(300)  # no system in the loop
     est = OnlineEstimator(10)
     est.initialize(u, y)
-    h_ls = ls_estimate(est._stats)
+    h_ls, _ = dense_least_squares(u, y, 10)
     ctx = MLContext(est._stats, est._sigma2)
     h_bayes = _mean(_factorize(ctx, est._eta))
     assert np.linalg.norm(h_bayes) < 0.5 * np.linalg.norm(h_ls)
@@ -135,7 +135,7 @@ def test_single_sample_batches_keep_ridge_guarded_noise():
     # band-limited input leaves R numerically singular after the warmup, so
     # an explicit inverse of R updated sample by sample drifts and inflates
     # sigma2 by up to five decades; every batch must take the ridge-guarded
-    # least squares of ls_estimate
+    # residual of noise_variance
     rng = np.random.default_rng(3)
     system = random_system(rng, 80)
     u = bandlimited_input(rng, 600)
@@ -144,7 +144,7 @@ def test_single_sample_batches_keep_ridge_guarded_noise():
     est.initialize(u[:100], y[:100])
     for k in range(100, 200):
         snap = est.process_batch(u[k:k + 1], y[k:k + 1])
-        want = noise_variance(est._stats, ls_estimate(est._stats))
+        want = noise_variance(est._stats)
         assert abs(snap.sigma2 - want) <= 1e-10 * want, (snap.nbar, snap.sigma2, want)
 
 

@@ -18,7 +18,7 @@ from bayesfir.likelihood import (
     _value,
 )
 from bayesfir.optim import OptimizerConfig, _grad_at, em_step, fresh_state, gradient_step
-from bayesfir.stats import Batch, SufficientStats, ingest, ls_estimate, noise_variance
+from bayesfir.stats import Batch, SufficientStats, ingest, noise_variance
 
 from oracles import dense_neg_log_ml, dense_posterior, random_eta, random_instance
 
@@ -162,7 +162,7 @@ def overflow_context():
     rng = np.random.default_rng(29)
     _, u, y = random_instance(rng, 6, 30)
     stats = ingest(SufficientStats.empty(6), Batch(1e5 * u, 1e5 * y))
-    ctx = MLContext(stats, noise_variance(stats, ls_estimate(stats)))
+    ctx = MLContext(stats, noise_variance(stats))
     d = np.sqrt(1e300 * tc_block_weights(6, 0.9))
     with np.errstate(over="ignore"):
         assert not np.all(np.isfinite(np.outer(d, d) * stats.C))

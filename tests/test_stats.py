@@ -1,19 +1,23 @@
-"""Streaming sufficient statistics, least squares, and the noise variance."""
+"""Streaming sufficient statistics and the least-squares noise variance."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from bayesfir.stats import (
+    NOISE_FLOOR,
+    RIDGE_SCALE,
     Batch,
     RankDeficientError,
     SufficientStats,
     ingest,
-    ls_estimate,
     noise_variance,
     regressor_rows,
 )
 
-from oracles import dense_regressors
+from oracles import dense_least_squares, dense_regressors, ridge_residual
 
 
 def test_batch_validation():
@@ -95,75 +99,87 @@ def test_footprint_is_order_independent_of_stream_length():
 
 
 def test_ls_identity_case():
+    # nbar = n leaves no residual degrees of freedom: the output power
+    # ybar / nbar bounds the noise instead
     stats = ingest(SufficientStats.empty(2), Batch(np.array([1.0, 0.0]), np.array([1.0, 2.0])))
-    np.testing.assert_allclose(ls_estimate(stats), [1.0, 2.0])
+    np.testing.assert_array_equal(stats.R, np.eye(2))
+    assert noise_variance(stats) == 5.0 / 2.0
 
 
 def test_ls_recovers_noiseless_response():
+    # an exact fit leaves a residual of rounding size only, below the floor
     rng = np.random.default_rng(21)
     n = 6
     h0 = rng.standard_normal(n)
     u = rng.standard_normal(200)
     y = dense_regressors(u, n) @ h0
     stats = ingest(SufficientStats.empty(n), Batch(u, y))
-    np.testing.assert_allclose(ls_estimate(stats), h0, rtol=1e-8, atol=1e-10)
+    assert noise_variance(stats) == NOISE_FLOOR
 
 
 def test_ls_is_the_normal_equation_minimizer():
+    # the residual is the minimum over h of ybar - 2 ytilde'h + h'Rh, and
+    # the dense least-squares vector attains it
     rng = np.random.default_rng(23)
     n = 5
     u = rng.standard_normal(80)
     y = rng.standard_normal(80)
     stats = ingest(SufficientStats.empty(n), Batch(u, y))
-    h = ls_estimate(stats)
+    rss = noise_variance(stats) * (stats.nbar - n)
+    h, _ = dense_least_squares(u, y, n)
 
     def objective(v):
-        return float(v @ stats.R @ v - 2.0 * stats.ytilde @ v)
+        return float(stats.ybar - 2.0 * stats.ytilde @ v + v @ stats.R @ v)
 
-    base = objective(h)
+    assert abs(objective(h) - rss) <= 1e-9 * (1.0 + abs(rss))
     for _ in range(50):
         step = rng.standard_normal(n)
         step *= 1e-3 * (1.0 + np.linalg.norm(h)) / np.linalg.norm(step)
-        assert objective(h + step) >= base - 1e-9 * (1.0 + abs(base))
+        assert objective(h + step) >= rss - 1e-9 * (1.0 + abs(rss))
 
 
 def test_ls_flags_persistent_rank_deficiency():
-    stats = SufficientStats(
-        n=2, R=np.diag([1.0, 0.0]), ytilde=np.array([1.0, 0.0]),
-        ybar=1.0, nbar=3, history=np.zeros(1),
-    )
-    with pytest.raises(RankDeficientError):
-        ls_estimate(stats)
+    for nbar in (2, 3):  # nbar = n already raises
+        stats = SufficientStats(
+            n=2, R=np.diag([1.0, 0.0]), ytilde=np.array([1.0, 0.0]),
+            ybar=1.0, nbar=nbar, history=np.zeros(1),
+        )
+        with pytest.raises(RankDeficientError):
+            noise_variance(stats)
 
 
 def test_ls_flags_non_finite_statistics():
-    # overflowed statistics must not slip through the Cholesky solve as a
-    # finite-looking estimate
-    stats = SufficientStats(
-        n=2, R=np.array([[np.inf, 0.0], [0.0, 1.0]]), ytilde=np.ones(2),
-        ybar=1.0, nbar=10, history=np.zeros(1),
-    )
-    with pytest.raises(RankDeficientError), np.errstate(invalid="ignore"):
-        ls_estimate(stats)
+    # overflowed statistics must not slip through the Cholesky factor as a
+    # finite-looking noise variance
+    good = dict(R=np.eye(2), ytilde=np.ones(2), ybar=1.0)
+    for name, bad in (("R", np.array([[np.inf, 0.0], [0.0, 1.0]])), ("ytilde", np.array([np.nan, 1.0])),
+                      ("ybar", np.inf)):
+        for nbar in (1, 10):
+            stats = SufficientStats(n=2, nbar=nbar, history=np.zeros(1), **{**good, name: bad})
+            with pytest.raises(RankDeficientError), np.errstate(invalid="ignore"):
+                noise_variance(stats)
 
 
 def test_ls_ridge_path_on_singular_but_excited_stats():
-    # consistent singular system: the ridge picks the minimum-norm solution
+    # consistent singular system: the minimum-norm fit [0.5, 0.5] leaves a
+    # residual of 1, and the ridge adds only rho * ||h||^2 to it
     stats = SufficientStats(
         n=2, R=np.array([[1.0, 1.0], [1.0, 1.0]]), ytilde=np.array([1.0, 1.0]),
         ybar=2.0, nbar=4, history=np.zeros(1),
     )
-    np.testing.assert_allclose(ls_estimate(stats), [0.5, 0.5], rtol=1e-4)
+    sigma2 = noise_variance(stats)
+    np.testing.assert_allclose(sigma2, 1.0 / 2.0, rtol=1e-4)
+    rho = RIDGE_SCALE * 2.0 / 2.0
+    assert abs(sigma2 - ridge_residual(stats, rho) / 2.0) <= 1e-14 * sigma2
 
 
 def test_ls_early_underdetermined_stream_is_finite():
     stats = ingest(SufficientStats.empty(5), Batch(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])))
-    h = ls_estimate(stats)
-    assert h.shape == (5,) and np.all(np.isfinite(h))
+    assert noise_variance(stats) == 14.0 / 3.0
 
 
 def test_ls_with_no_data_is_zero():
-    np.testing.assert_array_equal(ls_estimate(SufficientStats.empty(3)), np.zeros(3))
+    assert noise_variance(SufficientStats.empty(3)) == NOISE_FLOOR
 
 
 def test_noise_variance_clamps_consistent_fit():
@@ -171,7 +187,7 @@ def test_noise_variance_clamps_consistent_fit():
         n=2, R=np.eye(2), ytilde=np.array([1.0, 2.0]),
         ybar=5.0, nbar=12, history=np.zeros(1),
     )
-    assert noise_variance(stats, np.array([1.0, 2.0])) == 1e-12
+    assert noise_variance(stats) == 1e-12
 
 
 def test_noise_variance_formula_and_guard():
@@ -179,14 +195,13 @@ def test_noise_variance_formula_and_guard():
         n=2, R=np.eye(2), ytilde=np.array([1.0, 2.0]),
         ybar=25.0, nbar=12, history=np.zeros(1),
     )
-    # (25 - 2*5 + 5) / (12 - 2) = 2
-    assert abs(noise_variance(stats, np.array([1.0, 2.0])) - 2.0) < 1e-14
+    # (25 - 1 - 4) / (12 - 2) = 2
+    assert abs(noise_variance(stats) - 2.0) < 1e-14
     short = SufficientStats(
         n=2, R=np.eye(2), ytilde=np.array([1.0, 2.0]),
         ybar=25.0, nbar=2, history=np.zeros(1),
     )
-    with pytest.raises(ValueError):
-        noise_variance(short, np.array([1.0, 2.0]))
+    assert noise_variance(short) == 25.0 / 2.0
 
 
 def test_noise_variance_tracks_true_noise_level():
@@ -195,6 +210,80 @@ def test_noise_variance_tracks_true_noise_level():
     u = rng.standard_normal(4000)
     y = 0.7 * rng.standard_normal(4000)  # pure noise, h = 0
     stats = ingest(SufficientStats.empty(n), Batch(u, y))
-    est = noise_variance(stats, ls_estimate(stats))
+    est = noise_variance(stats)
     assert 0.85 * 0.49 < est < 1.15 * 0.49
 
+
+def _stats_from_rows(phi, y):
+    m, n = phi.shape
+    return SufficientStats(n=n, R=phi.T @ phi, ytilde=phi.T @ y, ybar=float(y @ y), nbar=m,
+                           history=np.zeros(n - 1))
+
+
+def _white_stream(seed, n):
+    """White input and a noisy FIR output, 4n to 60 samples: the plain path."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4 * n, 61))
+    u = rng.standard_normal(m)
+    y = dense_regressors(u, n) @ rng.standard_normal(n) + 100.0 * rng.standard_normal(m)
+    return u, y
+
+
+def _singular_rows(seed, n):
+    """Rows whose first two columns are equal with squared norm 16.
+
+    The second Cholesky pivot of R is then exactly 0, under any power-of-two
+    scaling, so the factor always takes the ridge path, while every diagonal
+    of R stays positive.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(max(n + 1, 16), 41))
+    phi = rng.standard_normal((m, n))
+    phi[:, 0] = 0.0
+    phi[rng.choice(m, size=16, replace=False), 0] = rng.choice([-1.0, 1.0], size=16)
+    phi[:, 1] = phi[:, 0]
+    y = phi @ rng.standard_normal(n) + 100.0 * rng.standard_normal(m)
+    return phi, y
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+POWERS = st.integers(-20, 20)
+
+
+@settings(deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 8), a=POWERS, b=POWERS)
+def test_plain_path_scales_exactly_by_powers_of_two(seed, n, a, b):
+    u, y = _white_stream(seed, n)
+    base = noise_variance(ingest(SufficientStats.empty(n), Batch(u, y)))
+    scaled = noise_variance(ingest(SufficientStats.empty(n), Batch(u * 2.0**a, y * 2.0**b)))
+    assert scaled == base * 4.0**b
+
+
+@settings(deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 8), a=POWERS, b=POWERS)
+def test_ridge_path_scales_exactly_by_powers_of_two(seed, n, a, b):
+    phi, y = _singular_rows(seed, n)
+    assert lapack.dpotrf(phi.T @ phi, lower=1)[1] == 2
+    base = noise_variance(_stats_from_rows(phi, y))
+    scaled = noise_variance(_stats_from_rows(phi * 2.0**a, y * 2.0**b))
+    assert scaled == base * 4.0**b
+
+
+@settings(deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 8))
+def test_plain_path_matches_dense_least_squares(seed, n):
+    u, y = _white_stream(seed, n)
+    stats = ingest(SufficientStats.empty(n), Batch(u, y))
+    assert lapack.dpotrf(stats.R, lower=1)[1] == 0
+    want = dense_least_squares(u, y, n)[1] / (u.size - n)
+    assert abs(noise_variance(stats) - want) <= 1e-12 * want
+
+
+@settings(deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 8))
+def test_ridge_path_matches_dense_ridge_residual(seed, n):
+    phi, y = _singular_rows(seed, n)
+    stats = _stats_from_rows(phi, y)
+    rho = RIDGE_SCALE * float(np.trace(stats.R)) / n
+    want = ridge_residual(stats, rho) / (stats.nbar - n)
+    assert abs(noise_variance(stats) - want) <= 1e-12 * want
