@@ -7,7 +7,7 @@ independent of stream length.
 """
 
 from .estimator import EstimateSnapshot, OnlineEstimator
-from .kernel import Hyperparameters, NotPositiveDefiniteError
+from .kernel import Hyperparameters
 from .likelihood import NonFiniteLikelihoodError
 from .optim import OptimizerConfig
 from .stats import RankDeficientError

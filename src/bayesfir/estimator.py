@@ -114,7 +114,7 @@ class OnlineEstimator:
         active = (0,) if self.lambda_only else (0, 1)
         state = OptimizerState(
             eta_prev=rep.state.eta_prev,
-            grad_prev=rep.state.grad_prev[list(active)],
+            grad_prev=tuple(rep.state.grad_prev[i] for i in active),
             tau=self.config.tau0,
             active=active,
         )

@@ -20,13 +20,10 @@ inverse, which the EM M-step reads (optim._em_profile).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Unit kernel is singular, so its inverse and log-determinant do not exist."""
 
 
 @dataclass(frozen=True)
@@ -39,9 +36,9 @@ class Hyperparameters:
     def __post_init__(self):
         lam = float(self.lam)
         beta = float(self.beta)
-        if not np.isfinite(lam) or lam < 0.0:
+        if not math.isfinite(lam) or lam < 0.0:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if not np.isfinite(beta) or not 0.0 <= beta <= 1.0:
+        if not math.isfinite(beta) or not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "beta", beta)

@@ -7,13 +7,13 @@ L = U diag(d), d = sqrt(lam * c) (see kernel.tc_block_weights), turns every
 kernel product into a weighting of two per-batch constants:
 
     L' R L = (d d') * C,   C = U' R U (stats.SufficientStats.C),
-    L' ytilde = d * cumsum(ytilde).
+    L' ytilde = d * cum_y,  cum_y = U' ytilde (stats.SufficientStats.cum_y).
 
 With S the lower Cholesky factor of sigma2 I + (d d') * C, the negative log
 marginal likelihood (2 pi constant dropped) is
 
     L(eta) = (nbar - n) log sigma2 + 2 log det S + (ybar - ||t||^2) / sigma2,
-    t = S^-1 (d * cumsum(ytilde)),
+    t = S^-1 (d * cum_y),
 
 which agrees exactly with the dense evaluation y' Sigma^-1 y + log det Sigma,
 Sigma = Phi K Phi' + sigma2 I.  The root is exact on the whole closed box, so
@@ -21,21 +21,24 @@ the formula needs no fallback for semidefinite K (lam = 0 gives S = sigma I
 and the degenerate limit nbar log sigma2 + ybar / sigma2).
 
 There is one factorization per (batch, eta): ``_factorize`` builds S and t,
-and the value, the gradient, the posterior mean and the EM second moment are
-all read off that one factor.  The updaters in ``optim`` hand it along: the
+together with log det S S' and ||t||^2, and the value (O(1) from those two
+numbers), the gradient, the posterior mean and the EM second moment are all
+read off that one factor.  The updaters in ``optim`` hand it along: the
 gradient's factor gives the value at the same eta, and every updater returns
 the factor at its new eta (the accepted line-search candidate, or the EM
 update), from which the estimator forms its posterior mean, so a batch never
 factors the same matrix twice.  This module has no eta-level wrappers;
 callers factor once and read what they need.  LAPACK is called directly
-(dpotrf, dtrtrs, dtrtri), with an explicit finiteness check standing in for
-scipy's input validation.
+(dpotrf, dtrtrs, dtrtri), with a finiteness check on the factor's log
+determinant and ||t||^2 standing in for scipy's input validation, and each
+n-by-n temporary is built once: the factor keeps diag(d) C, the left half
+of (d d') * C, which the beta gradient reads again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,62 +54,66 @@ class NonFiniteLikelihoodError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MLContext:
-    """Sufficient statistics plus the noise variance the likelihood conditions on.
-
-    Also holds ``cum_y`` = U' ytilde, which every evaluation weights together
-    with stats.C = U' R U.
-    """
+    """Sufficient statistics plus the noise variance the likelihood conditions on."""
 
     stats: SufficientStats
     sigma2: float
-    cum_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s2 = float(self.sigma2)
-        if not np.isfinite(s2) or s2 <= 0.0:
+        if not math.isfinite(s2) or s2 <= 0.0:
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         object.__setattr__(self, "sigma2", s2)
-        object.__setattr__(self, "cum_y", np.cumsum(self.stats.ytilde))
 
 
 class _Factors(NamedTuple):
     eta: Hyperparameters
     d: np.ndarray  # root weights, K = U diag(d^2) U'
+    dc: np.ndarray  # diag(d) C
     s: np.ndarray  # lower Cholesky of sigma2 I + (d d') * C, Fortran order, upper zeroed
     t: np.ndarray  # S^-1 (d * cum_y)
+    logdet: float  # log det (S S')
+    tt: float  # t't
 
 
 def _factorize(ctx: MLContext, eta: Hyperparameters) -> _Factors:
-    """The one O(n^3) step of every evaluation at eta."""
+    """The one O(n^3) step of every evaluation at eta.
+
+    Overflow at extreme eta is expected while an optimizer probes the box
+    boundary.  A non-finite entry of the inner matrix or of the right-hand
+    side cannot leave a finite log det (S S') and t't behind -- it either
+    stops dpotrf or propagates into S's diagonal or t -- so checking those
+    two numbers turns it into NonFiniteLikelihoodError, with no pass over
+    the n-by-n matrix.
+    """
     n = ctx.stats.n
     d = np.sqrt(eta.lam * tc_block_weights(n, eta.beta))
-    # overflow at extreme eta is expected while an optimizer probes the box
-    # boundary; the finiteness check turns it into NonFiniteLikelihoodError
     with np.errstate(over="ignore", invalid="ignore"):
-        a = d[:, None] * ctx.stats.C * d
-        rhs = d * ctx.cum_y
-    a.ravel()[:: n + 1] += ctx.sigma2
-    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        dc = d[:, None] * ctx.stats.C
+        a = dc * d
+        rhs = d * ctx.stats.cum_y
+        a.ravel()[:: n + 1] += ctx.sigma2
+        # a is symmetric, so a.T is the same matrix in Fortran order: dpotrf
+        # factors it in place without a copy and zeroes the upper triangle
+        s, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
+        if info != 0:
+            raise NonFiniteLikelihoodError(
+                f"inner factor failed at eta=({eta.lam!r}, {eta.beta!r}): dpotrf info {info}"
+            )
+        t, _ = lapack.dtrtrs(s, rhs, lower=1)
+        logdet = 2.0 * float(np.log(s.diagonal()).sum())
+        tt = float(t @ t)
+    if not (math.isfinite(logdet) and math.isfinite(tt)):
         raise NonFiniteLikelihoodError(
-            f"non-finite inner matrix at eta=({eta.lam!r}, {eta.beta!r})"
+            f"non-finite inner factor at eta=({eta.lam!r}, {eta.beta!r})"
         )
-    # a is symmetric, so a.T is the same matrix in Fortran order: dpotrf
-    # factors it in place without a copy and zeroes the upper triangle
-    s, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
-    if info != 0:
-        raise NonFiniteLikelihoodError(
-            f"inner factor failed at eta=({eta.lam!r}, {eta.beta!r}): dpotrf info {info}"
-        )
-    t, _ = lapack.dtrtrs(s, rhs, lower=1)
-    return _Factors(eta=eta, d=d, s=s, t=t)
+    return _Factors(eta, d, dc, s, t, logdet, tt)
 
 
 def _value(ctx: MLContext, f: _Factors) -> float:
-    """Negative log marginal likelihood at f.eta, O(n) given the factor."""
+    """Negative log marginal likelihood at f.eta, O(1) given the factor."""
     stats = ctx.stats
-    logdet_s2 = 2.0 * float(np.log(f.s.diagonal()).sum())
-    quad = (stats.ybar - float(f.t @ f.t)) / ctx.sigma2
-    val = (stats.nbar - stats.n) * math.log(ctx.sigma2) + logdet_s2 + quad
+    val = (stats.nbar - stats.n) * math.log(ctx.sigma2) + f.logdet + (stats.ybar - f.tt) / ctx.sigma2
     if not math.isfinite(val):
         raise NonFiniteLikelihoodError(
             f"non-finite likelihood at eta=({f.eta.lam!r}, {f.eta.beta!r})"
@@ -114,11 +121,16 @@ def _value(ctx: MLContext, f: _Factors) -> float:
     return val
 
 
-def _mean(f: _Factors) -> np.ndarray:
-    """Posterior mean L S^-T t = U (d * S^-T t): a reversed cumulative sum, O(n^2) given S."""
+def _root_mean(f: _Factors) -> np.ndarray:
+    """d * S^-T t: the posterior mean h = U (d * S^-T t) before its cumulative sum."""
     z, _ = lapack.dtrtrs(f.s, f.t, lower=1, trans=1)
     z *= f.d
-    return np.cumsum(z[::-1])[::-1]
+    return z
+
+
+def _mean(f: _Factors) -> np.ndarray:
+    """Posterior mean L S^-T t = U (d * S^-T t): a reversed cumulative sum, O(n^2) given S."""
+    return np.cumsum(_root_mean(f)[::-1])[::-1]
 
 
 def _inverse(f: _Factors) -> np.ndarray:
@@ -150,14 +162,15 @@ def _lambda_terms(ctx: MLContext, f: _Factors, sinv: np.ndarray):
     Uses Tr(Sigma^-1 Phi K_b Phi') = (n - sigma2 ||S^-1||_F^2) / lam, an exact
     consequence of L'RL = SS' - sigma2 I, and the data-side quadratic
     U_lam = ||L' v||^2 / lam = ||d * q||^2 / lam with v = Phi' Sigma^-1 y, so
-    both pieces are nonnegative by construction.
+    both pieces are nonnegative by construction.  v = (ytilde - R h) / sigma2
+    with h = U z the posterior mean, so q = (U' ytilde - C z) / sigma2.
     """
     s2 = ctx.sigma2
     lam = f.eta.lam
     flat = sinv.ravel(order="K")
     v_lam = max(ctx.stats.n - s2 * float(flat @ flat), 0.0) / lam
-    # v = (ytilde - R h) / sigma2 with h the posterior mean
-    q = np.cumsum(ctx.stats.ytilde - ctx.stats.R @ _mean(f)) / s2
+    q = ctx.stats.cum_y - ctx.stats.C @ _root_mean(f)
+    q /= s2
     dq = f.d * q
     u_lam = float(dq @ dq) / lam
     return v_lam, u_lam, q
@@ -174,33 +187,38 @@ def _split(ctx: MLContext, f: _Factors) -> tuple:
     with weights of either sign (kernel.dbeta_block_weights), and each block
     contributes a nonnegative trace and a nonnegative quadratic term, routed
     to V or U according to the weight's sign so that V > 0, U >= 0 and
-    grad = V - U.
+    grad = V - U.  V and U are (lam, beta) pairs of floats.
     """
     eta = f.eta
     _require_interior(eta)
+    n, s2 = ctx.stats.n, ctx.sigma2
     sinv = _inverse(f)
     v_lam, u_lam, q = _lambda_terms(ctx, f, sinv)
 
     # Per-block trace terms Tr(Sigma^-1 Phi B_m Phi') = (C_mm - ||G e_m||^2) / sigma2
-    # with G = S^-1 L' R U = S^-1 (d * C), and quadratics (v' B_m v) = q_m^2.
-    c = dbeta_block_weights(ctx.stats.n, eta.beta)
-    g = sinv @ (f.d[:, None] * ctx.stats.C)
-    colsq = np.einsum("ij,ij->j", g, g)
-    tv = np.maximum(ctx.stats.C.diagonal() - colsq, 0.0) / ctx.sigma2
-    tu = q * q
+    # with G = S^-1 L' R U = S^-1 (d * C), and quadratics (v' B_m v) = q_m^2:
+    # the rows of terms, sigma2 times the first.  The rows of parts are the
+    # positive and the negative part of the block weights, so that
+    # parts @ terms' = [[c+ tv, c+ tu], [c- tv, c- tu]].
+    g = sinv @ f.dc
+    terms = np.empty((2, n))
+    np.einsum("ij,ij->j", g, g, out=terms[0])
+    np.subtract(ctx.stats.C.diagonal(), terms[0], out=terms[0])
+    np.maximum(terms[0], 0.0, out=terms[0])
+    np.multiply(q, q, out=terms[1])
+    c = dbeta_block_weights(n, eta.beta)
+    parts = np.empty((2, n))
+    np.maximum(c, 0.0, out=parts[0])
+    np.subtract(parts[0], c, out=parts[1])
+    (pos_tv, pos_tu), (neg_tv, neg_tu) = (parts @ terms.T).tolist()
+    v_beta = eta.lam * (pos_tv / s2 + neg_tu)
+    u_beta = eta.lam * (neg_tv / s2 + pos_tu)
 
-    pos = c > 0.0
-    cpos = np.where(pos, c, 0.0)
-    cneg = np.where(pos, 0.0, -c)
-    v_beta = eta.lam * (cpos @ tv + cneg @ tu)
-    u_beta = eta.lam * (cneg @ tv + cpos @ tu)
-
-    v, u = np.array([v_lam, v_beta]), np.array([u_lam, u_beta])
-    if not np.all(np.isfinite(v)) or not np.all(np.isfinite(u)):
+    if not all(map(math.isfinite, (v_lam, v_beta, u_lam, u_beta))):
         raise NonFiniteLikelihoodError(
             f"non-finite gradient at eta=({eta.lam!r}, {eta.beta!r})"
         )
-    return v, u
+    return (v_lam, v_beta), (u_lam, u_beta)
 
 
 def _lambda_split(ctx: MLContext, f: _Factors) -> tuple:

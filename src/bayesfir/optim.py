@@ -7,23 +7,29 @@ Each online update performs a single projected scaled-gradient iteration
 with the metric B chosen per method (Barzilai-Borwein step, split gradient
 projection scaling, or a damped BFGS matrix) and gamma found by Armijo
 backtracking.  The EM alternatives share one update, em_step: lam in closed
-form, plus a golden-section search over beta for ``em``.  Every updater
-returns a StepReport carrying the likelihood factor at its new eta, from
-which the estimator forms the posterior mean.  State needed across batches
-is only the previous iterate, its gradient, the BB alternation threshold,
-and the BFGS matrix.
+form, plus for ``em`` a search over beta (a fixed grid, polished by
+safeguarded Newton).  Every updater returns a StepReport carrying the
+likelihood factor at its new eta, from which the estimator forms the
+posterior mean.  State needed across batches is only the previous iterate,
+its gradient, the BB alternation threshold, and the BFGS matrix.
+
+The optimizer moves one or two coordinates, so its vectors are tuples of
+Python floats and B is a tuple of rows: at this size a numpy call costs
+several times the arithmetic it would do.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import likelihood
-from .kernel import Hyperparameters, NotPositiveDefiniteError
+from .kernel import Hyperparameters
 from .likelihood import (
     MLContext,
     NonFiniteLikelihoodError,
@@ -42,7 +48,13 @@ METHODS = GRADIENT_METHODS + EM_METHODS
 # where the split gradient is undefined.
 GRAD_LAMBDA_FLOOR = 1e-12
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_IDENTITY = {1: ((1.0,),), 2: ((1.0, 0.0), (0.0, 1.0))}
+
+# em's beta search: grid size, and a cap on the Newton polish.  Its step
+# lengths at least halve every second iteration, so it ends within about
+# 2 log2(bracket / tol), some 32 iterations, before the cap.
+_GRID_POINTS = 257
+_NEWTON_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -60,8 +72,7 @@ class OptimizerConfig:
     beta_eps: float = 1e-6
     opt_tol: float = 1e-6
     opt_max_iter: int = 500
-    em_golden_tol: float = 1e-6
-    em_max_evals: int = 100
+    em_golden_tol: float = 1e-6  # beta tolerance of em's Newton polish
 
 
 @dataclass(frozen=True)
@@ -74,15 +85,15 @@ class OptimizerState:
     gradient_step returns the next one in its report.
     """
 
-    eta_prev: np.ndarray
-    grad_prev: np.ndarray
+    eta_prev: tuple
+    grad_prev: tuple
     tau: float
     active: tuple = (0, 1)
-    b_prev: np.ndarray = field(default=None)
+    b_prev: tuple = None
 
     def __post_init__(self):
         if self.b_prev is None:
-            object.__setattr__(self, "b_prev", np.eye(len(self.active)))
+            object.__setattr__(self, "b_prev", _IDENTITY[len(self.active)])
 
 
 @dataclass(frozen=True)
@@ -101,29 +112,31 @@ class StepReport:
     state: Optional[OptimizerState] = field(repr=False, compare=False)
 
 
-def _clamp_box(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out[0] = max(out[0], 0.0)
-    out[1] = min(max(out[1], 0.0), 1.0)
-    return out
+def _dot(a, b) -> float:
+    return sum(map(operator.mul, a, b))
+
+
+def _clamp_box(lam: float, beta: float) -> tuple:
+    return max(lam, 0.0), min(max(beta, 0.0), 1.0)
 
 
 def _interior(eta: Hyperparameters, cfg: OptimizerConfig) -> Hyperparameters:
+    """eta moved inside the box by the gradient's margins; eta itself when it already is."""
     lam = max(eta.lam, GRAD_LAMBDA_FLOOR)
     beta = min(max(eta.beta, cfg.beta_eps), 1.0 - cfg.beta_eps)
+    if lam == eta.lam and beta == eta.beta:
+        return eta
     return Hyperparameters(lam, beta)
 
 
-def secant_pair(state: OptimizerState, eta_arr: np.ndarray, grad_act: np.ndarray):
+def secant_pair(state: OptimizerState, eta: tuple, grad: tuple):
     """Displacement r and gradient difference w on the active coordinates."""
-    act = list(state.active)
-    r = np.asarray(eta_arr, dtype=float)[act] - state.eta_prev[act]
-    w = np.asarray(grad_act, dtype=float) - state.grad_prev
+    r = tuple(eta[i] - state.eta_prev[i] for i in state.active)
+    w = tuple(g - g_prev for g, g_prev in zip(grad, state.grad_prev))
     return r, w
 
 
-def bb_stepsize(r: np.ndarray, w: np.ndarray, tau: float, cfg: OptimizerConfig,
-                metric: np.ndarray = None):
+def bb_stepsize(r, w, tau: float, cfg: OptimizerConfig, metric=None):
     """Alternating Barzilai-Borwein step size; returns (alpha, tau_next).
 
     alpha1 = r'r / r'w and alpha2 = r'w / w'w are clamped to
@@ -141,17 +154,17 @@ def bb_stepsize(r: np.ndarray, w: np.ndarray, tau: float, cfg: OptimizerConfig,
     objective is locally concave (small lambda) instead of walking out of it.
     """
     if metric is None:
-        cross = float(r @ w)
-        a1_num, a1_den = float(r @ r), cross
-        a2_num, a2_den = cross, float(w @ w)
+        cross = _dot(r, w)
+        a1_num, a1_den = _dot(r, r), cross
+        a2_num, a2_den = cross, _dot(w, w)
         fallback = cfg.alpha_min
     else:
-        rd = r / metric
-        dw = metric * w
-        a1_num, a1_den = float(rd @ rd), float(rd @ w)
-        a2_num, a2_den = float(r @ dw), float(dw @ dw)
+        rd = [x / d for x, d in zip(r, metric)]
+        dw = [d * x for d, x in zip(metric, w)]
+        a1_num, a1_den = _dot(rd, rd), _dot(rd, w)
+        a2_num, a2_den = _dot(r, dw), _dot(dw, dw)
         fallback = 1.0
-    if not (np.isfinite(a1_den) and np.isfinite(a2_num)) or a1_den <= 0.0 or a2_num <= 0.0 or a2_den <= 0.0:
+    if not (math.isfinite(a1_den) and math.isfinite(a2_num)) or a1_den <= 0.0 or a2_num <= 0.0 or a2_den <= 0.0:
         return fallback, tau
     a1 = min(max(a1_num / a1_den, cfg.alpha_min), cfg.alpha_max)
     a2 = min(max(a2_num / a2_den, cfg.alpha_min), cfg.alpha_max)
@@ -160,31 +173,37 @@ def bb_stepsize(r: np.ndarray, w: np.ndarray, tau: float, cfg: OptimizerConfig,
     return a1, 1.1 * tau
 
 
-def sgp_scaling(eta_act: np.ndarray, v_act: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    """Diagonal scaling d_i = clamp(eta_i / V_i) from the positive gradient part."""
-    eta_act = np.asarray(eta_act, dtype=float)
-    v_act = np.asarray(v_act, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = eta_act / v_act
-    ratio = np.where(np.isfinite(ratio), ratio, cfg.d_max)
-    return np.clip(ratio, cfg.d_min, cfg.d_max)
+def sgp_scaling(eta_act, v_act, cfg: OptimizerConfig) -> tuple:
+    """Diagonal scaling d_i = clamp(eta_i / V_i) from the positive gradient part.
+
+    A ratio that is not finite (V_i = 0 included) takes d_max.
+    """
+    out = []
+    for e, v in zip(eta_act, v_act):
+        ratio = e / v if v != 0.0 else math.inf
+        if not math.isfinite(ratio):
+            ratio = cfg.d_max
+        out.append(min(max(ratio, cfg.d_min), cfg.d_max))
+    return tuple(out)
 
 
-def bfgs_update(b_prev: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Direct BFGS update of the inverse-Hessian approximation B.
+def bfgs_update(b_prev, r, w) -> tuple:
+    """Direct BFGS update of the inverse-Hessian approximation B, as a tuple of rows.
 
     Skips the update (returning b_prev) when the curvature r'w is not safely
     positive, so B stays symmetric positive definite; otherwise the returned B
-    satisfies the secant equation B w = r exactly.
+    satisfies the secant equation B w = r exactly.  With M = I - rho r w',
+    rho = 1 / r'w, the update is B = rho r r' + M B_prev M'.
     """
-    rw = float(r @ w)
-    if rw <= 1e-12 * float(np.linalg.norm(r)) * float(np.linalg.norm(w)):
+    rw = _dot(r, w)
+    if rw <= 1e-12 * math.sqrt(_dot(r, r)) * math.sqrt(_dot(w, w)):
         return b_prev
     rho = 1.0 / rw
-    eye = np.eye(len(r))
-    m = eye - rho * np.outer(r, w)
-    b = rho * np.outer(r, r) + m @ b_prev @ m.T
-    return 0.5 * (b + b.T)
+    dim = range(len(r))
+    m = [[float(i == j) - rho * (r[i] * w[j]) for j in dim] for i in dim]
+    mb = [[_dot(m[i], [row[j] for row in b_prev]) for j in dim] for i in dim]
+    b = [[rho * (r[i] * r[j]) + _dot(mb[i], m[j]) for j in dim] for i in dim]
+    return tuple(tuple(0.5 * (b[i][j] + b[j][i]) for j in dim) for i in dim)
 
 
 def _grad_at(ctx: MLContext, eta: Hyperparameters, active: tuple, cfg: OptimizerConfig):
@@ -192,9 +211,9 @@ def _grad_at(ctx: MLContext, eta: Hyperparameters, active: tuple, cfg: Optimizer
     f = likelihood._factorize(ctx, _interior(eta, cfg))
     if active == (0,):
         v_lam, u_lam = _lambda_split(ctx, f)
-        return np.array([v_lam - u_lam]), np.array([v_lam]), f
-    v, u = _split(ctx, f)
-    return v - u, v, f
+        return (v_lam - u_lam,), (v_lam,), f
+    (v_lam, v_beta), (u_lam, u_beta) = _split(ctx, f)
+    return (v_lam - u_lam, v_beta - u_beta), (v_lam, v_beta), f
 
 
 def gradient_step(
@@ -214,31 +233,30 @@ def gradient_step(
     if method not in GRADIENT_METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
     cfg = cfg or OptimizerConfig()
-    act = list(state.active)
-    eta_arr = eta.as_array()
+    active = state.active
+    lam, beta = here = (eta.lam, eta.beta)
 
-    grad_act, v_act, f = _grad_at(ctx, eta, state.active, cfg)
-    r, w = secant_pair(state, eta_arr, grad_act)
+    grad, v, f = _grad_at(ctx, eta, active, cfg)
+    r, w = secant_pair(state, here, grad)
     tau_new = state.tau
     b_new = state.b_prev
     if method == "bb":
         alpha, tau_new = bb_stepsize(r, w, state.tau, cfg)
-        b = alpha * np.eye(len(act))
+        step = [alpha * g for g in grad]
     elif method == "sgp":
-        d_act = sgp_scaling(eta_arr[act], v_act, cfg)
-        alpha, tau_new = bb_stepsize(r, w, state.tau, cfg, metric=d_act)
-        b = alpha * np.diag(d_act)
+        d = sgp_scaling([here[i] for i in active], v, cfg)
+        alpha, tau_new = bb_stepsize(r, w, state.tau, cfg, metric=d)
+        step = [(alpha * d_i) * g for d_i, g in zip(d, grad)]
     else:  # bfgs
         b_new = bfgs_update(state.b_prev, r, w)
-        b = b_new
+        step = [_dot(row, grad) for row in b_new]
 
-    step = np.zeros(2)
-    step[act] = b @ grad_act
-    z = _clamp_box(eta_arr - step)
-    delta = z - eta_arr
-    slope = float(grad_act @ delta[act])
+    step.append(0.0)  # a frozen beta does not move
+    z_lam, z_beta = _clamp_box(lam - step[0], beta - step[1])
+    delta = (z_lam - lam, z_beta - beta)
+    slope = _dot(grad, delta)  # over the active coordinates only
 
-    if f.eta != eta:  # the gradient was taken at the interior-clamped eta
+    if f.eta is not eta:  # the gradient was taken at the interior-clamped eta
         f = likelihood._factorize(ctx, eta)
     ml_before = _value(ctx, f)
     gamma = 0.0
@@ -251,7 +269,7 @@ def gradient_step(
         # gamma in [0, 1]; the clamp only sweeps up rounding residue.
         for i in range(cfg.max_backtracks + 1):
             g = cfg.backtrack_factor**i
-            cand = Hyperparameters.from_array(_clamp_box(eta_arr + g * delta))
+            cand = Hyperparameters(*_clamp_box(lam + g * delta[0], beta + g * delta[1]))
             try:
                 f_c = likelihood._factorize(ctx, cand)
                 ml_c = _value(ctx, f_c)
@@ -269,7 +287,7 @@ def gradient_step(
         # A rejected (or ascent) direction means the accumulated curvature
         # model has gone stale; restarting from identity is cheaper than
         # paying a full failed line search on every subsequent batch.
-        b_new = np.eye(len(act))
+        b_new = _IDENTITY[len(active)]
     return StepReport(
         eta_new=eta_new,
         ml_before=ml_before,
@@ -277,35 +295,16 @@ def gradient_step(
         gamma=gamma,
         backtracks=backtracks,
         factors=f,
-        state=OptimizerState(eta_arr, grad_act, tau_new, state.active, b_new),
+        state=OptimizerState(here, grad, tau_new, active, b_new),
     )
-
-
-def _golden_min(fn, lo: float, hi: float, tol: float, max_evals: int):
-    """Golden-section minimum of fn on [lo, hi]; returns the best evaluated (x, fx)."""
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    evals = 2
-    while hi - lo > tol and evals < max_evals:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = fn(x2)
-        evals += 1
-    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
     """The M-step's closed form in beta from the two bands of the second moment M.
 
-    Returns (lam_star, objective).  lam_star(beta) = Tr(K_b^-1 M) / n is the
-    closed-form lam for fixed beta.  The unit kernel's inverse is exactly
-    tridiagonal,
+    Returns (lam_star, objective, best_beta).  lam_star(beta) = Tr(K_b^-1 M) / n
+    is the closed-form lam for fixed beta.  The unit kernel's inverse is
+    exactly tridiagonal,
 
         inv[1, 1] = 1 / (beta (1 - beta))           (1 / beta when n == 1)
         inv[i, i] = (1 + beta) / (beta^i (1 - beta))   for 1 < i < n
@@ -314,20 +313,23 @@ def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
 
     so for n >= 2
 
-        lam* n (1 - beta) beta^n = sum_i beta^(n-i) (p_i + beta q_i),
-        p_i = M_ii - 2 M_i,i+1 (p_n = M_nn),  q_i = M_ii for 1 < i < n else 0,
+        lam* n (1 - beta) beta^n = F(beta) = sum_k beta^k (p_k + beta q_k),
+        p_k = M_ii - 2 M_i,i+1 (p_n = M_nn),  q_k = M_ii for 1 < i < n else 0,
 
-    and each evaluation is one powers vector and two dot products.  lam_star
-    is inf wherever the inverse does not exist or overflows: beta = 0,
-    beta = 1 for n >= 2, beta^n underflowing.  objective(beta) =
-    n log lam* + log det K_b is the M-step objective profiled over lam, for
-    0 < beta < 1; it is inf wherever lam* is not finite and positive.
+    with k = n - i, a polynomial of degree n - 1 whose coefficients are
+    read off once.  lam_star is inf wherever the inverse does not exist or
+    overflows: beta = 0, beta = 1 for n >= 2, beta^n underflowing.
+    objective(beta) = n log lam* + log det K_b is the M-step objective
+    profiled over lam, for 0 < beta < 1; it is inf wherever lam* is not
+    finite and positive.
+
+    best_beta(lo, hi, tol) minimizes the objective on [lo, hi] (see
+    _best_beta); it returns None where there is nothing to search.
     """
     n = m_diag.size
-    pq = np.zeros((2, n))  # rows p and q, reversed so that entry k is weighted by beta**k
-    pq[0] = m_diag[::-1]
-    pq[0, 1:] -= 2.0 * m_off[::-1]
-    pq[1, 1:-1] = m_diag[-2:0:-1]
+    coef = m_diag[::-1].copy()  # F's coefficients, p_k + q_(k-1)
+    coef[1:] -= 2.0 * m_off[::-1]
+    coef[2:] += m_diag[-2:0:-1]
     k = np.arange(n, dtype=float)
     half = 0.5 * n * (n + 1)
 
@@ -335,20 +337,104 @@ def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
         if n == 1:  # the inverse is the scalar 1 / beta
             scale = beta
         else:
-            beta_n = beta**n
-            scale = (1.0 - beta) * beta_n
+            scale = (1.0 - beta) * beta**n
         if scale == 0.0 or not math.isfinite((1.0 + beta) / scale):
-            return np.inf
-        sp, sq = pq @ beta**k
-        return float(sp + beta * sq) / (n * scale)
+            return math.inf
+        return float(coef @ beta**k) / (n * scale)
 
     def objective(beta: float) -> float:
         lam = lam_star(beta)
         if not math.isfinite(lam) or lam <= 0.0:
-            return np.inf
+            return math.inf
         return n * math.log(lam) + half * math.log(beta) + (n - 1) * math.log1p(-beta)
 
-    return lam_star, objective
+    def best_beta(lo: float, hi: float, tol: float):
+        # n = 1 leaves the objective flat in beta: log lam* + log beta = log M_11
+        return _best_beta(coef, lo, hi, tol) if n > 1 else None
+
+    return lam_star, objective, best_beta
+
+
+@functools.lru_cache(maxsize=8)
+def _beta_grid(n: int, lo: float, hi: float):
+    """em's search grid on [lo, hi] for n taps, computed once per (n, lo, hi).
+
+    Returns the points, uniform in logit(beta) so that they crowd toward
+    both ends of the box; their powers beta^0 .. beta^(n-1), one row each;
+    the beta-only part of the profiled objective, -n(n-1)/2 log beta -
+    log(1 - beta); and the mask of points where lam* exists.
+    """
+    s = np.linspace(math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi)), _GRID_POINTS)
+    beta = 1.0 / (1.0 + np.exp(-s))
+    beta[0], beta[-1] = lo, hi
+    powers = beta[:, None] ** np.arange(n, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = (1.0 - beta) * beta**n
+        exists = (scale > 0.0) & np.isfinite((1.0 + beta) / scale)
+    base = -0.5 * n * (n - 1) * np.log(beta) - np.log1p(-beta)
+    for arr in (beta, powers, base, exists):
+        arr.flags.writeable = False
+    return beta, powers, base, exists
+
+
+def _best_beta(coef: np.ndarray, lo: float, hi: float, tol: float):
+    """Minimizer over [lo, hi] of em's profiled objective, for n = coef.size >= 2.
+
+    Up to the constant n log n the objective is
+
+        phi(beta) = n log F(beta) - n(n-1)/2 log beta - log(1 - beta),
+
+    F the polynomial with coefficients ``coef``.  One product against a
+    cached grid of beta powers locates the global minimum among the grid
+    points where lam* exists, and safeguarded Newton on the closed-form
+    derivative phi' = n F'/F - n(n-1)/(2 beta) + 1/(1 - beta) polishes it
+    inside the bracket of its two grid neighbours, bisecting whenever a
+    Newton step would leave the bracket or shrink it too slowly; it stops
+    once a step is below ``tol``.  Returns None when lam* exists at no grid
+    point.
+    """
+    n = coef.size
+    grid, powers, base, exists = _beta_grid(n, lo, hi)
+    f_grid = powers @ coef
+    ok = exists & (f_grid > 0.0)
+    if not ok.any():
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(ok, n * np.log(f_grid) + base, np.inf)
+    j = int(np.argmin(phi))
+    x = float(grid[j])
+    a = float(grid[j - 1]) if j > 0 and ok[j - 1] else x
+    b = float(grid[j + 1]) if j + 1 < grid.size and ok[j + 1] else x
+
+    # rows: F, F' and F'' as polynomials in beta
+    k = np.arange(n, dtype=float)
+    derivs = np.zeros((3, n))
+    derivs[0] = coef
+    derivs[1, :-1] = k[1:] * coef[1:]
+    derivs[2, :-2] = k[2:] * k[1:-1] * coef[2:]
+    tri = 0.5 * n * (n - 1)
+    dx_old = dx = b - a
+    for _ in range(_NEWTON_MAX_ITER):
+        f0, f1, f2 = (derivs @ x**k).tolist()
+        if not f0 > 0.0:  # F rounded to <= 0 between two grid points: keep the grid's pick
+            return float(grid[j])
+        r1, r2 = f1 / f0, f2 / f0
+        d1 = n * r1 - tri / x + 1.0 / (1.0 - x)
+        d2 = n * (r2 - r1 * r1) + tri / (x * x) + 1.0 / ((1.0 - x) * (1.0 - x))
+        if d1 < 0.0:
+            a = x
+        else:
+            b = x
+        newton = x - d1 / d2 if d2 > 0.0 else math.nan
+        if a < newton < b and abs(2.0 * d1) <= abs(dx_old * d2):
+            dx_old, dx = dx, d1 / d2
+            x = newton
+        else:
+            dx_old, dx = dx, 0.5 * (b - a)
+            x = a + dx
+        if abs(dx) <= tol:
+            break
+    return x
 
 
 def em_step(
@@ -358,14 +444,15 @@ def em_step(
 
     lam has the closed form Tr(K_b^-1 M) / n for fixed beta, with M the
     posterior second moment (_em_profile).  ``em`` takes M = P + h h' and
-    minimizes the lam-profiled objective over beta by golden section,
-    compared against the current beta so the evidence never degrades.
-    ``em1`` (M = h h', the covariance dropped) and ``em2`` (M = P + h h')
-    keep beta frozen and raise NotPositiveDefiniteError where the kernel
-    inverse does not exist.  The M-step reads only M's main and first super
-    diagonal (likelihood._moment_bands, O(n^2) column sums from the factor
-    at eta), and the report carries the factor at the new eta; both values
-    are O(n) given their factors.
+    minimizes the lam-profiled objective over beta (_best_beta), compared
+    against the current beta so the evidence never degrades.  ``em1``
+    (M = h h', the covariance dropped) and ``em2`` (M = P + h h') keep beta
+    frozen; where the kernel inverse does not exist (beta = 1, or beta^n
+    underflowing) there is no lam*, and they hold eta with gamma = 0.  The
+    M-step reads only M's main and first super diagonal
+    (likelihood._moment_bands, O(n^2) column sums from the factor at eta),
+    and the report carries the factor at the new eta; both values are O(n)
+    given their factors.
     """
     if method not in EM_METHODS:
         raise ValueError(f"unknown EM method {method!r}")
@@ -377,7 +464,7 @@ def em_step(
     else:
         m_diag, m_off = _moment_bands(ctx, f)
 
-    lam_star, objective = _em_profile(m_diag, m_off)
+    lam_star, objective, best_beta = _em_profile(m_diag, m_off)
     if float(m_diag.sum()) <= 0.0:
         # Degenerate posterior (lam already 0, or a zero kernel at beta = 0):
         # the M-step sends lam to the boundary, and neither beta nor the
@@ -387,17 +474,17 @@ def em_step(
         lo, hi = cfg.beta_eps, 1.0 - cfg.beta_eps
         beta_cur = min(max(eta.beta, lo), hi)
         g_cur = objective(beta_cur)
-        beta_gs, g_gs = _golden_min(objective, lo, hi, cfg.em_golden_tol, cfg.em_max_evals)
-        beta_sel = beta_gs if g_gs < g_cur else beta_cur
-        # lam = 0 when no evaluated beta gave a finite objective
-        lam_sel = lam_star(beta_sel) if min(g_gs, g_cur) < np.inf else 0.0
+        beta_new = best_beta(lo, hi, cfg.em_golden_tol)
+        g_new = math.inf if beta_new is None else objective(beta_new)
+        beta_sel = beta_new if g_new < g_cur else beta_cur
+        # lam = 0 when neither beta gave a finite objective
+        lam_sel = lam_star(beta_sel) if min(g_new, g_cur) < math.inf else 0.0
         eta_new = Hyperparameters(lam_sel, beta_sel)
     else:
         lam_new = lam_star(eta.beta)
-        if lam_new == np.inf:
-            raise NotPositiveDefiniteError(
-                f"kernel inverse does not exist at beta={eta.beta!r}, n={m_diag.size}"
-            )
+        if lam_new == math.inf:
+            ml = _value(ctx, f)
+            return StepReport(eta, ml, ml, 0.0, 0, f, None)
         eta_new = Hyperparameters(max(lam_new, 0.0), eta.beta)
 
     f_new = likelihood._factorize(ctx, eta_new)
@@ -417,8 +504,8 @@ def fresh_state(
     """
     cfg = cfg or OptimizerConfig()
     active = (0,) if lambda_only else (0, 1)
-    eta_prev = _clamp_box(eta.as_array() * (1.0 + 1e-3))
-    grad_prev, _, _ = _grad_at(ctx, Hyperparameters.from_array(eta_prev), active, cfg)
+    eta_prev = _clamp_box(eta.lam * (1.0 + 1e-3), eta.beta * (1.0 + 1e-3))
+    grad_prev, _, _ = _grad_at(ctx, Hyperparameters(*eta_prev), active, cfg)
     return OptimizerState(
         eta_prev=eta_prev,
         grad_prev=grad_prev,

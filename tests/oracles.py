@@ -49,6 +49,18 @@ def unit_kernel_inverse_bands(n, beta):
     return diag, -scale[:-1]
 
 
+def stats_from_moments(n, R, ytilde, ybar, nbar, history):
+    """SufficientStats holding R, ytilde and ybar, with C = U'RU and U'ytilde by cumulative sums."""
+    R = np.asarray(R, dtype=float)
+    ytilde = np.asarray(ytilde, dtype=float)
+    gram = np.empty((n + 1, n + 1))
+    gram[:n, :n] = R
+    gram[:n, n] = gram[n, :n] = ytilde
+    gram[n, n] = ybar
+    c = np.cumsum(np.cumsum(R, axis=0), axis=1)
+    return SufficientStats(n, gram, c, np.cumsum(ytilde), nbar, np.asarray(history, dtype=float))
+
+
 def dense_regressors(u, n):
     """Regressor matrix Phi[t, i] = u[t - i], zero before the record starts."""
     u = np.asarray(u, dtype=float)
@@ -122,6 +134,30 @@ def lfilter_bandlimited_input(rng, n_samples):
     shaped = lfilter(firwin(64, 0.8), 1.0, white)
     scale = float(np.std(shaped))
     return shaped / scale if scale > 0.0 else shaped
+
+
+def golden_min(fn, lo, hi, tol, max_evals=100):
+    """Golden-section minimum of fn on [lo, hi]; returns the best evaluated (x, fx).
+
+    The beta search em used before its grid-and-Newton search, kept as the
+    reference that search must match or beat.
+    """
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    evals = 2
+    while hi - lo > tol and evals < max_evals:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = fn(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = fn(x2)
+        evals += 1
+    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def central_diff(f, x, h):

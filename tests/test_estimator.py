@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bayesfir import Hyperparameters, OnlineEstimator
-from bayesfir import estimator, likelihood, optim
+from bayesfir import estimator, likelihood, optim, stats
 from bayesfir.likelihood import MLContext, _factorize, _mean
 from bayesfir.optim import OptimizerConfig, _interior
 from bayesfir.simgen import bandlimited_input, random_system, simulate_io
@@ -225,3 +225,106 @@ def test_one_factorization_per_batch_and_eta(monkeypatch):
             assert len(factored) == want, (method, lambda_only, mode, snap.batch_index, len(factored), want)
             ctx = MLContext(est._stats, snap.sigma2)
             np.testing.assert_array_equal(snap.h, _mean(real_factorize(ctx, snap.eta)))
+
+
+def test_lambda_only_em_holds_where_warmup_leaves_beta_at_one():
+    # the benchmark's stream (3, 0) with its inputs scaled by 1e-6 after
+    # simulation: the warmup ends at beta = 1, where the kernel inverse and
+    # so em1/em2's lam* do not exist, and every batch holds eta instead of
+    # raising, so the stream runs to the end
+    rng = np.random.default_rng(np.random.SeedSequence((3, 0)))
+    system = random_system(rng, 80)
+    u = bandlimited_input(rng, 1100)
+    y = simulate_io(system, u, 5.0, rng)
+    u = 1e-6 * u
+    for method in ("em1", "em2"):
+        est = OnlineEstimator(80, method=method)
+        est.initialize(u[:100], y[:100])
+        warm = est._eta
+        assert warm.beta == 1.0
+        snaps = run_stream(est, u, y, warm=100, nk=10)
+        assert len(snaps) == 100
+        assert all(s.eta == warm for s in snaps)
+        ctx = MLContext(est._stats, snaps[-1].sigma2)
+        np.testing.assert_array_equal(snaps[-1].h, _mean(_factorize(ctx, warm)))
+
+
+class _CountingLapack:
+    """Stands in for scipy.linalg.lapack in one module, counting dpotrf and dtrtri calls."""
+
+    def __init__(self, real):
+        self.real = real
+        self.dpotrf_info = []  # info of every dpotrf call, in order
+        self.dtrtri_calls = 0
+
+    def dpotrf(self, *args, **kwargs):
+        out = self.real.dpotrf(*args, **kwargs)
+        self.dpotrf_info.append(out[1])
+        return out
+
+    def dtrtri(self, *args, **kwargs):
+        self.dtrtri_calls += 1
+        return self.real.dtrtri(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+def test_lapack_calls_per_batch(monkeypatch):
+    # load-independent cost check for every one-step token on the benchmark
+    # protocol (n = 80, nk = 10): sigma2 takes one dpotrf of the augmented
+    # Gram matrix (one more when its R block needs the ridge); a gradient
+    # batch factors its eta once, each rejected candidate once and the
+    # accepted one once (one more to value a boundary eta); an EM batch
+    # factors the old and the new eta, or the old one only when it holds;
+    # dtrtri runs at most once, never for em1
+    in_stats = _CountingLapack(stats.lapack)
+    in_likelihood = _CountingLapack(likelihood.lapack)
+    monkeypatch.setattr(stats, "lapack", in_stats)
+    monkeypatch.setattr(likelihood, "lapack", in_likelihood)
+    reports = []
+    real_step, real_em = optim.gradient_step, optim.em_step
+
+    def recording_step(ctx, state, eta, *args):
+        reports.append((eta, real_step(ctx, state, eta, *args)))
+        return reports[-1][1]
+
+    def recording_em(ctx, eta, *args):
+        reports.append((eta, real_em(ctx, eta, *args)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(estimator, "gradient_step", recording_step)
+    monkeypatch.setattr(estimator, "em_step", recording_em)
+    cfg = OptimizerConfig()
+    n, warm, nk = 80, 100, 10
+    rng = np.random.default_rng(3)
+    system = random_system(rng, n)
+    u = bandlimited_input(rng, warm + 12 * nk)
+    y = simulate_io(system, u, 5.0, rng)
+    accepted = 0
+    for method, lambda_only in (
+        ("bb", False), ("sgp", False), ("bfgs", False), ("em", False), ("em1", False),
+        ("em2", False), ("bb", True), ("sgp", True), ("bfgs", True),
+    ):
+        est = OnlineEstimator(n, method=method, lambda_only=lambda_only)
+        est.initialize(u[:warm], y[:warm])
+        for start in range(warm, u.size, nk):
+            for counter in (in_stats, in_likelihood):
+                counter.dpotrf_info.clear()
+                counter.dtrtri_calls = 0
+            reports.clear()
+            est.process_batch(u[start:start + nk], y[start:start + nk])
+            (eta, rep), = reports
+            ridge = 0 < in_stats.dpotrf_info[0] <= n
+            assert len(in_stats.dpotrf_info) == 1 + ridge, (method, lambda_only, start)
+            if method.startswith("em"):
+                want = 1 if rep.gamma == 0.0 else 2
+            elif rep.gamma > 0.0:
+                want = 1 + rep.backtracks + 1 + (_interior(eta, cfg) != eta)
+                accepted += 1
+            else:
+                continue  # null steps are covered by test_one_factorization_per_batch_and_eta
+            assert len(in_likelihood.dpotrf_info) == want, (method, lambda_only, start)
+            assert in_likelihood.dtrtri_calls == (0 if method == "em1" else 1)
+            assert in_stats.dtrtri_calls == 0
+    assert accepted >= 50

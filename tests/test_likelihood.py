@@ -87,7 +87,7 @@ def test_gradient_matches_finite_differences():
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 8, 40)))
         eta = random_eta(rng)
         v, u = _split(ctx, _factorize(ctx, eta))
-        grad = v - u
+        grad = np.subtract(v, u)
         for comp in range(2):
             h = 1e-6 * (1.0 + abs(eta.as_array()[comp]))
 
@@ -108,10 +108,10 @@ def test_gradient_split_signs_and_sum():
         eta = random_eta(rng)
         f = _factorize(ctx, eta)
         v, u = _split(ctx, f)
-        assert np.all(v > 0.0)
-        assert np.all(u >= 0.0)
+        assert np.all(np.greater(v, 0.0))
+        assert np.all(np.greater_equal(u, 0.0))
         grad, v_act, _ = _grad_at(ctx, eta, (0, 1), CFG)
-        np.testing.assert_array_equal(grad, v - u)
+        np.testing.assert_array_equal(grad, np.subtract(v, u))
         np.testing.assert_array_equal(v_act, v)
         v_lam, u_lam = _lambda_split(ctx, f)
         assert abs(v_lam - v[0]) < 1e-10 * (1.0 + abs(v_lam))

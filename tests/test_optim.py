@@ -4,8 +4,11 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bayesfir.kernel import Hyperparameters, NotPositiveDefiniteError
+from bayesfir import likelihood
+from bayesfir.kernel import Hyperparameters
 from bayesfir.likelihood import MLContext, _factorize, _lambda_split, _mean, _moment_bands, _value
 from bayesfir.optim import (
     OptimizerConfig,
@@ -21,16 +24,22 @@ from bayesfir.optim import (
     secant_pair,
     sgp_scaling,
 )
-from bayesfir.stats import SufficientStats
 
-from oracles import random_eta, random_instance, unit_kernel_inverse_bands, unit_kernel_logdet
+from oracles import (
+    golden_min,
+    random_eta,
+    random_instance,
+    stats_from_moments,
+    unit_kernel_inverse_bands,
+    unit_kernel_logdet,
+)
 
 CFG = OptimizerConfig()
 
 
 def em_example_context():
     # engineered so the posterior at eta = (1, 1) is mean 2, covariance 1/2
-    stats = SufficientStats(
+    stats = stats_from_moments(
         n=1, R=np.array([[1.0]]), ytilde=np.array([4.0]),
         ybar=20.0, nbar=5, history=np.zeros(0),
     )
@@ -124,7 +133,7 @@ def test_bfgs_update_secant_and_skip():
             w = -w + 1e-3 * r  # force positive curvature
         if float(r @ w) <= 0.0:
             continue
-        b = bfgs_update(b_prev, r, w)
+        b = np.array(bfgs_update(b_prev, r, w))
         assert np.linalg.norm(b @ w - r) <= 1e-10 * (1.0 + np.linalg.norm(r))
         np.testing.assert_allclose(b, b.T)
         assert np.all(np.linalg.eigvalsh(b) > 0.0)
@@ -139,7 +148,7 @@ def test_gradient_step_decreases_objective():
         star = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 5), 0.9))[0].eta_new
         eta0 = Hyperparameters(star.lam * 3.0, min(star.beta + 0.05, 0.99))
         state = fresh_state(ctx, eta0, CFG)
-        seed = (state.eta_prev.copy(), state.grad_prev.copy(), state.tau, state.b_prev.copy())
+        seed = (np.array(state.eta_prev), np.array(state.grad_prev), state.tau, np.array(state.b_prev))
         rep = gradient_step(ctx, state, eta0, method, CFG)
         assert rep.gamma > 0.0
         assert rep.ml_after < rep.ml_before
@@ -229,7 +238,7 @@ def test_em_variants_send_lambda_to_zero_at_zero_beta():
 
 
 def test_em1_is_zero_without_signal():
-    stats = SufficientStats(
+    stats = stats_from_moments(
         n=2, R=np.eye(2), ytilde=np.zeros(2), ybar=3.0, nbar=6, history=np.zeros(1),
     )
     ctx = MLContext(stats, 1.0)
@@ -276,7 +285,7 @@ def test_em_profile_matches_banded_form():
     n = 80
     ctx, _, _ = random_instance(rng, n, 400)
     diag, off = _moment_bands(ctx, _factorize(ctx, Hyperparameters(1.0, 0.9)))
-    lam_star, objective = _em_profile(diag, off)
+    lam_star, objective, _ = _em_profile(diag, off)
     for beta in (1e-3, 0.01, 0.5, 0.9, 1.0 - 1e-6):
         d, e = unit_kernel_inverse_bands(n, beta)
         lam = (float(d @ diag) + 2.0 * float(e @ off)) / n
@@ -287,27 +296,66 @@ def test_em_profile_matches_banded_form():
     assert lam_star(1e-5) == np.inf and objective(1e-5) == np.inf
 
 
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((1, 2, 5, 80)), decay=st.booleans())
+def test_em_beta_search_beats_a_dense_scan_and_golden_section(seed, n, decay):
+    # a random PSD second moment, with rows decaying like an impulse
+    # response's when decay is set
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n + 3))
+    if decay:
+        a *= rng.uniform(0.3, 0.99) ** np.arange(n)[:, None]
+    m = a @ a.T
+    _, objective, best_beta = _em_profile(np.diag(m).copy(), np.diag(m, 1).copy())
+    lo, hi = CFG.beta_eps, 1.0 - CFG.beta_eps
+    scan = [objective(b) for b in np.linspace(lo, hi, 10_000).tolist()]
+    beta = best_beta(lo, hi, CFG.em_golden_tol)
+    if n == 1:  # the profile is flat in beta, and there is nothing to search
+        assert beta is None
+        assert max(scan) - min(scan) <= 1e-12 * abs(min(scan))
+        return
+    got = objective(beta)
+    assert lo <= beta <= hi
+    assert got <= min(scan) + 1e-10 * abs(got)
+    # at a shared minimum the two differ only by the rounding of objective
+    assert got <= golden_min(objective, lo, hi, CFG.em_golden_tol)[1] + 1e-14 * abs(got)
+
+
 def test_em_profile_is_inf_where_the_kernel_inverse_does_not_exist():
     ones = np.ones(3)
-    lam_star, _ = _em_profile(ones, ones[:-1])
+    lam_star, _, _ = _em_profile(ones, ones[:-1])
     assert lam_star(0.0) == np.inf  # zero kernel
     assert lam_star(1.0) == np.inf  # rank-one kernel
     assert lam_star(0.5) > 0.0
-    lam_star, _ = _em_profile(np.ones(1), np.zeros(0))
+    lam_star, _, _ = _em_profile(np.ones(1), np.zeros(0))
     assert lam_star(0.0) == np.inf
     assert lam_star(1.0) == 1.0  # the n = 1 kernel is beta itself
-    lam_star, _ = _em_profile(np.ones(1040), np.zeros(1039))
+    lam_star, _, _ = _em_profile(np.ones(1040), np.zeros(1039))
     assert lam_star(0.5) == np.inf  # 0.5**1040 is subnormal and the inverse overflows
 
 
-def test_em_variants_raise_where_the_kernel_inverse_does_not_exist():
+def test_em_variants_hold_where_the_kernel_inverse_does_not_exist(monkeypatch):
     # beta frozen where the inverse is singular (beta = 1) or beta**n
-    # underflows: em1/em2 raise, while em searches beta inside the box
+    # underflows: em1/em2 have no lam* and hold eta with gamma = 0, handing
+    # back the factor taken at eta without a second factorization, while em
+    # searches beta inside the box
     ctx, _, _ = random_instance(np.random.default_rng(61), 80, 240)
+    factored = []
+    real_factorize = likelihood._factorize
+
+    def counting_factorize(ctx, eta):
+        factored.append(eta)
+        return real_factorize(ctx, eta)
+
+    monkeypatch.setattr(likelihood, "_factorize", counting_factorize)
     for eta in (Hyperparameters(1.0, 1.0), Hyperparameters(1.0, 1e-5)):
         for method in ("em1", "em2"):
-            with pytest.raises(NotPositiveDefiniteError):
-                em_step(ctx, eta, method)
+            factored.clear()
+            rep = em_step(ctx, eta, method)
+            assert factored == [eta]
+            assert rep.eta_new is eta and rep.factors.eta is eta
+            assert (rep.gamma, rep.backtracks) == (0.0, 0)
+            assert rep.ml_after == rep.ml_before == _value(ctx, real_factorize(ctx, eta))
         assert 0.0 < em_step(ctx, eta, "em").eta_new.beta < 1.0
 
 

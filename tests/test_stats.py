@@ -14,10 +14,12 @@ from bayesfir.stats import (
     SufficientStats,
     ingest,
     noise_variance,
-    regressor_rows,
 )
 
-from oracles import dense_least_squares, dense_regressors, ridge_residual
+from oracles import dense_least_squares, dense_regressors, ridge_residual, stats_from_moments
+
+SEEDS = st.integers(0, 2**32 - 1)
+POWERS = st.integers(-20, 20)
 
 
 def test_batch_validation():
@@ -42,15 +44,45 @@ def test_ingest_identity_example():
     np.testing.assert_array_equal(stats.history, [0.0])
 
 
-def test_regressor_rows_match_double_loop_across_batches():
+def test_ingest_matches_double_loop_across_batches():
+    # rows at the batch boundary read the inputs carried over in history
     rng = np.random.default_rng(2)
     n = 5
     u = rng.standard_normal(23)
+    y = rng.standard_normal(23)
     full = dense_regressors(u, n)
     split = 9
-    head = regressor_rows(u[:split], np.zeros(n - 1), n)
-    tail = regressor_rows(u[split:], u[split - (n - 1):split], n)
-    np.testing.assert_array_equal(np.vstack([head, tail]), full)
+    stats = ingest(ingest(SufficientStats.empty(n), Batch(u[:split], y[:split])), Batch(u[split:], y[split:]))
+    np.testing.assert_allclose(stats.R, full.T @ full, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(stats.ytilde, full.T @ y, rtol=1e-14, atol=1e-14)
+    np.testing.assert_array_equal(stats.history, u[-(n - 1):])
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=SEEDS, n=st.sampled_from((1, 2, 80)), nk=st.sampled_from(("1", "3", "2n")))
+def test_augmented_statistics_match_dense_products(seed, n, nk):
+    # after random batch splits, the stored statistics are [Phi y]'[Phi y]
+    # and, in the kernel-root basis, [Phi U y]'[Phi U y] = [[C, U'ytilde], ...]
+    rng = np.random.default_rng(seed)
+    step = {"1": 1, "3": 3, "2n": 2 * n}[nk]
+    total = int(rng.integers(1, 6)) * step + int(rng.integers(0, step))
+    u = rng.standard_normal(total)
+    y = rng.standard_normal(total)
+    stats = SufficientStats.empty(n)
+    start = 0
+    while start < total:
+        stop = min(total, start + int(rng.integers(1, step + 1)))
+        stats = ingest(stats, Batch(u[start:stop], y[start:stop]))
+        start = stop
+    phi = dense_regressors(u, n)
+    plain = np.column_stack([phi, y])
+    rooted = np.column_stack([phi @ np.triu(np.ones((n, n))), y])
+    root_gram = np.block([[stats.C, stats.cum_y[:, None]], [stats.cum_y[None, :], stats.ybar]])
+    for got, x in ((stats.gram, plain), (root_gram, rooted)):
+        want = x.T @ x
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    assert stats.nbar == total
+    assert stats.C.flags.c_contiguous
 
 
 def test_batch_split_invariance():
@@ -140,7 +172,7 @@ def test_ls_is_the_normal_equation_minimizer():
 
 def test_ls_flags_persistent_rank_deficiency():
     for nbar in (2, 3):  # nbar = n already raises
-        stats = SufficientStats(
+        stats = stats_from_moments(
             n=2, R=np.diag([1.0, 0.0]), ytilde=np.array([1.0, 0.0]),
             ybar=1.0, nbar=nbar, history=np.zeros(1),
         )
@@ -155,7 +187,7 @@ def test_ls_flags_non_finite_statistics():
     for name, bad in (("R", np.array([[np.inf, 0.0], [0.0, 1.0]])), ("ytilde", np.array([np.nan, 1.0])),
                       ("ybar", np.inf)):
         for nbar in (1, 10):
-            stats = SufficientStats(n=2, nbar=nbar, history=np.zeros(1), **{**good, name: bad})
+            stats = stats_from_moments(n=2, nbar=nbar, history=np.zeros(1), **{**good, name: bad})
             with pytest.raises(RankDeficientError), np.errstate(invalid="ignore"):
                 noise_variance(stats)
 
@@ -163,7 +195,7 @@ def test_ls_flags_non_finite_statistics():
 def test_ls_ridge_path_on_singular_but_excited_stats():
     # consistent singular system: the minimum-norm fit [0.5, 0.5] leaves a
     # residual of 1, and the ridge adds only rho * ||h||^2 to it
-    stats = SufficientStats(
+    stats = stats_from_moments(
         n=2, R=np.array([[1.0, 1.0], [1.0, 1.0]]), ytilde=np.array([1.0, 1.0]),
         ybar=2.0, nbar=4, history=np.zeros(1),
     )
@@ -183,7 +215,7 @@ def test_ls_with_no_data_is_zero():
 
 
 def test_noise_variance_clamps_consistent_fit():
-    stats = SufficientStats(
+    stats = stats_from_moments(
         n=2, R=np.eye(2), ytilde=np.array([1.0, 2.0]),
         ybar=5.0, nbar=12, history=np.zeros(1),
     )
@@ -191,13 +223,13 @@ def test_noise_variance_clamps_consistent_fit():
 
 
 def test_noise_variance_formula_and_guard():
-    stats = SufficientStats(
+    stats = stats_from_moments(
         n=2, R=np.eye(2), ytilde=np.array([1.0, 2.0]),
         ybar=25.0, nbar=12, history=np.zeros(1),
     )
     # (25 - 1 - 4) / (12 - 2) = 2
     assert abs(noise_variance(stats) - 2.0) < 1e-14
-    short = SufficientStats(
+    short = stats_from_moments(
         n=2, R=np.eye(2), ytilde=np.array([1.0, 2.0]),
         ybar=25.0, nbar=2, history=np.zeros(1),
     )
@@ -216,7 +248,7 @@ def test_noise_variance_tracks_true_noise_level():
 
 def _stats_from_rows(phi, y):
     m, n = phi.shape
-    return SufficientStats(n=n, R=phi.T @ phi, ytilde=phi.T @ y, ybar=float(y @ y), nbar=m,
+    return stats_from_moments(n=n, R=phi.T @ phi, ytilde=phi.T @ y, ybar=float(y @ y), nbar=m,
                            history=np.zeros(n - 1))
 
 
@@ -244,10 +276,6 @@ def _singular_rows(seed, n):
     phi[:, 1] = phi[:, 0]
     y = phi @ rng.standard_normal(n) + 100.0 * rng.standard_normal(m)
     return phi, y
-
-
-SEEDS = st.integers(0, 2**32 - 1)
-POWERS = st.integers(-20, 20)
 
 
 @settings(deadline=None)
