@@ -195,11 +195,11 @@ def _split(ctx: MLContext, f: _Factors) -> tuple:
     sinv = _inverse(f)
     v_lam, u_lam, q = _lambda_terms(ctx, f, sinv)
 
-    # Per-block trace terms Tr(Sigma^-1 Phi B_m Phi') = (C_mm - ||G e_m||^2) / sigma2
-    # with G = S^-1 L' R U = S^-1 (d * C), and quadratics (v' B_m v) = q_m^2:
-    # the rows of terms, sigma2 times the first.  The rows of parts are the
-    # positive and the negative part of the block weights, so that
-    # parts @ terms' = [[c+ tv, c+ tu], [c- tv, c- tu]].
+    # Per-block trace terms tv_m = Tr(Sigma^-1 Phi B_m Phi') = (C_mm - ||G e_m||^2) / sigma2
+    # with G = S^-1 L' R U = S^-1 (d * C), and quadratics tu_m = (v' B_m v) = q_m^2.
+    # terms holds sigma2 * tv and tu, parts the positive and negative parts
+    # c+ and c- of the block weights, so parts @ terms' is
+    # [[c+ . sigma2 tv, c+ . tu], [c- . sigma2 tv, c- . tu]].
     g = sinv @ f.dc
     terms = np.empty((2, n))
     np.einsum("ij,ij->j", g, g, out=terms[0])

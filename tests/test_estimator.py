@@ -315,8 +315,11 @@ def test_lapack_calls_per_batch(monkeypatch):
             reports.clear()
             est.process_batch(u[start:start + nk], y[start:start + nk])
             (eta, rep), = reports
+            where = (method, lambda_only, start)
             ridge = 0 < in_stats.dpotrf_info[0] <= n
-            assert len(in_stats.dpotrf_info) == 1 + ridge, (method, lambda_only, start)
+            assert len(in_stats.dpotrf_info) == 1 + ridge, where
+            assert in_stats.dtrtri_calls == 0, where
+            assert in_likelihood.dtrtri_calls == (0 if method == "em1" else 1), where
             if method.startswith("em"):
                 want = 1 if rep.gamma == 0.0 else 2
             elif rep.gamma > 0.0:
@@ -324,7 +327,5 @@ def test_lapack_calls_per_batch(monkeypatch):
                 accepted += 1
             else:
                 continue  # null steps are covered by test_one_factorization_per_batch_and_eta
-            assert len(in_likelihood.dpotrf_info) == want, (method, lambda_only, start)
-            assert in_likelihood.dtrtri_calls == (0 if method == "em1" else 1)
-            assert in_stats.dtrtri_calls == 0
+            assert len(in_likelihood.dpotrf_info) == want, where
     assert accepted >= 50
