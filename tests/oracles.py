@@ -139,8 +139,7 @@ def lfilter_bandlimited_input(rng, n_samples):
 def golden_min(fn, lo, hi, tol, max_evals=100):
     """Golden-section minimum of fn on [lo, hi]; returns the best evaluated (x, fx).
 
-    The beta search em used before its grid-and-Newton search, kept as the
-    reference that search must match or beat.
+    The reference that em's grid-and-Newton beta search must match or beat.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
