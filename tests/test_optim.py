@@ -308,11 +308,17 @@ def test_em_beta_search_beats_a_dense_scan_and_golden_section(seed, n, decay):
     m = a @ a.T
     _, objective, best_beta = _em_profile(np.diag(m).copy(), np.diag(m, 1).copy())
     lo, hi = CFG.beta_eps, 1.0 - CFG.beta_eps
-    scan = [objective(b) for b in np.linspace(lo, hi, 10_000).tolist()]
+    grid = np.linspace(lo, hi, 10_000).tolist()
+    scan = [objective(b) for b in grid]
     beta = best_beta(lo, hi, CFG.em_golden_tol)
     if n == 1:  # the profile is flat in beta, and there is nothing to search
         assert beta is None
-        assert max(scan) - min(scan) <= 1e-12 * abs(min(scan))
+        # log(M_11 / b) + log(b) = log(M_11), up to the rounding of terms of
+        # size |log b|, which cancel in the sum
+        want = np.log(m[0, 0])
+        eps = np.finfo(float).eps
+        for b, got in zip(grid, scan):
+            assert abs(got - want) <= 4.0 * eps * (1.0 + abs(want) + abs(np.log(b))), b
         return
     got = objective(beta)
     assert lo <= beta <= hi
