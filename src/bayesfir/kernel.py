@@ -43,14 +43,6 @@ class Hyperparameters:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "beta", beta)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lam, self.beta])
-
-    @classmethod
-    def from_array(cls, eta) -> "Hyperparameters":
-        lam, beta = np.asarray(eta, dtype=float)
-        return cls(lam, beta)
-
 
 def tc_block_weights(n: int, beta: float) -> np.ndarray:
     """Weights c >= 0 with the unit-scale kernel beta ** max(i, j) == sum_m c[m] * B_m.

@@ -29,10 +29,11 @@ the factor at its new eta (the accepted line-search candidate, or the EM
 update), from which the estimator forms its posterior mean, so a batch never
 factors the same matrix twice.  This module has no eta-level wrappers;
 callers factor once and read what they need.  LAPACK is called directly
-(dpotrf, dtrtrs, dtrtri), with a finiteness check on the factor's log
-determinant and ||t||^2 standing in for scipy's input validation, and each
-n-by-n temporary is built once: the factor keeps diag(d) C, the left half
-of (d d') * C, which the beta gradient reads again.
+through scipy's Fortran wrappers dpotrf, dtrtrs and dtrtri, which
+``_lapack`` loads without scipy.linalg's package.  A finiteness check on
+the factor's log determinant and ||t||^2 stands in for scipy's input
+validation, and each n-by-n temporary is built once: the factor keeps
+diag(d) C, the left half of (d d') * C, which the beta gradient reads again.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import _lapack as lapack
 from .kernel import Hyperparameters, dbeta_block_weights, tc_block_weights
 from .stats import SufficientStats
 

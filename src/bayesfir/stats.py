@@ -16,7 +16,8 @@ with inputs before time 1 taken as zero; the last n-1 inputs are carried
 across batch boundaries so rows at a boundary are exact.
 
 The noise variance is the least-squares residual, read off one Cholesky
-factor of the stored augmented Gram matrix.
+factor of the stored augmented Gram matrix (LAPACK dpotrf from ``_lapack``,
+scipy's Fortran wrapper loaded without scipy.linalg's package).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+
+from . import _lapack as lapack
 
 RIDGE_SCALE = 1e-8
 NOISE_FLOOR = 1e-12

@@ -183,3 +183,14 @@ def random_eta(rng, lam_scale=1.0):
     lam = float(lam_scale * 10.0 ** rng.uniform(-1.5, 1.5))
     beta = float(rng.uniform(0.3, 0.95))
     return Hyperparameters(lam, beta)
+
+
+def eta_array(eta):
+    """Hyperparameters as the array [lam, beta]."""
+    return np.array([eta.lam, eta.beta])
+
+
+def eta_from_array(arr):
+    """Hyperparameters from an array [lam, beta]."""
+    lam, beta = np.asarray(arr, dtype=float)
+    return Hyperparameters(lam, beta)

@@ -32,6 +32,7 @@ from oracles import (
     dense_neg_log_ml,
     dense_regressors,
     dense_tc_kernel,
+    eta_array,
     random_eta,
     random_instance,
 )
@@ -181,7 +182,7 @@ def test_criterion_6_secant_feasibility_and_armijo_suites():
                 feasible_cases += 1
                 if rep.gamma > 0.0:
                     grad_act, _, _ = _grad_at(ctx, eta, (0, 1), CFG)
-                    moved = rep.eta_new.as_array() - eta.as_array()
+                    moved = eta_array(rep.eta_new) - eta_array(eta)
                     slack = rep.ml_after - rep.ml_before - CFG.armijo_c * float(grad_act @ moved)
                     worst_armijo = max(worst_armijo, slack / (1.0 + abs(rep.ml_before)))
                     armijo_cases += 1

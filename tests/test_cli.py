@@ -261,14 +261,14 @@ def test_csv_writes_are_atomic(tmp_path):
     assert leftovers == []
 
 
-def test_cli_import_loads_no_scipy_signal_stats_or_interpolate():
+def test_cli_import_loads_no_scipy_linalg_lib_signal_stats_or_interpolate():
     src_dir = os.path.dirname(os.path.dirname(bayesfir.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
     code = (
         "import sys; import bayesfir.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy._lib', 'scipy.signal', "
+        "'scipy.stats', 'scipy.interpolate') if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120

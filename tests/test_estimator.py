@@ -250,7 +250,7 @@ def test_lambda_only_em_holds_where_warmup_leaves_beta_at_one():
 
 
 class _CountingLapack:
-    """Stands in for scipy.linalg.lapack in one module, counting dpotrf and dtrtri calls."""
+    """Stands in for bayesfir._lapack in one module, counting dpotrf and dtrtri calls."""
 
     def __init__(self, real):
         self.real = real

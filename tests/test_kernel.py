@@ -11,6 +11,8 @@ from oracles import (
     central_diff,
     dense_neg_log_ml,
     dense_tc_kernel,
+    eta_array,
+    eta_from_array,
     random_instance,
     unit_kernel_inverse_bands,
     unit_kernel_logdet,
@@ -81,7 +83,7 @@ def test_hyperparameter_validation():
 
 def test_hyperparameter_array_round_trip():
     eta = Hyperparameters(3.5, 0.25)
-    again = Hyperparameters.from_array(eta.as_array())
+    again = eta_from_array(eta_array(eta))
     assert again.lam == eta.lam and again.beta == eta.beta
 
 

@@ -20,7 +20,7 @@ from bayesfir.likelihood import (
 from bayesfir.optim import OptimizerConfig, _grad_at, em_step, fresh_state, gradient_step
 from bayesfir.stats import Batch, SufficientStats, ingest, noise_variance
 
-from oracles import dense_neg_log_ml, dense_posterior, random_eta, random_instance
+from oracles import dense_neg_log_ml, dense_posterior, eta_array, random_eta, random_instance
 
 CFG = OptimizerConfig()
 
@@ -89,14 +89,14 @@ def test_gradient_matches_finite_differences():
         v, u = _split(ctx, _factorize(ctx, eta))
         grad = np.subtract(v, u)
         for comp in range(2):
-            h = 1e-6 * (1.0 + abs(eta.as_array()[comp]))
+            h = 1e-6 * (1.0 + abs(eta_array(eta)[comp]))
 
             def slice_fn(x):
-                arr = eta.as_array()
+                arr = eta_array(eta)
                 arr[comp] = x
                 return value_at(ctx, Hyperparameters(arr[0], arr[1]))
 
-            x0 = eta.as_array()[comp]
+            x0 = eta_array(eta)[comp]
             fd = (slice_fn(x0 + h) - slice_fn(x0 - h)) / (2.0 * h)
             assert abs(grad[comp] - fd) < 1e-4 * (1.0 + abs(fd))
 

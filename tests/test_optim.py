@@ -26,6 +26,7 @@ from bayesfir.optim import (
 )
 
 from oracles import (
+    eta_array,
     golden_min,
     random_eta,
     random_instance,
@@ -154,12 +155,12 @@ def test_gradient_step_decreases_objective():
         assert rep.ml_after < rep.ml_before
         # Armijo inequality, recomputed from scratch
         grad_act, _, _ = _grad_at(ctx, eta0, (0, 1), CFG)
-        moved = rep.eta_new.as_array() - eta0.as_array()
+        moved = eta_array(rep.eta_new) - eta_array(eta0)
         bound = rep.ml_before + CFG.armijo_c * float(grad_act @ moved)
         assert rep.ml_after <= bound + 1e-10 * (1.0 + abs(rep.ml_before))
         # the next state carries the pre-step iterate as the next secant
         # seed, and the state passed in is left as it was
-        np.testing.assert_array_equal(rep.state.eta_prev, eta0.as_array())
+        np.testing.assert_array_equal(rep.state.eta_prev, eta_array(eta0))
         np.testing.assert_array_equal(rep.state.grad_prev, grad_act)
         for before, after in zip(seed, (state.eta_prev, state.grad_prev, state.tau, state.b_prev)):
             np.testing.assert_array_equal(after, before)
