@@ -81,27 +81,9 @@ METHOD_TOKENS = {
     "opt_lambda": ("sgp", True, "opt"),
 }
 
-# --lambda-only rewrites each method to its lam-only counterpart.
-LAMBDA_ONLY_MAP = {
-    "bb": "bb_lambda",
-    "sgp": "sgp_lambda",
-    "bfgs": "bfgs_lambda",
-    "em": "em2",
-    "opt": "opt_lambda",
-}
-
 
 class ConfigError(Exception):
     """Bad usage or configuration; maps to exit code 2."""
-
-
-def _cast_bool(text: str) -> bool:
-    val = text.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _cast_methods(text: str) -> tuple:
@@ -113,6 +95,10 @@ def _cast_methods(text: str) -> tuple:
             raise ValueError(
                 f"unknown method {tok!r}; expected one of {sorted(METHOD_TOKENS)}"
             )
+    # a repeated token would run twice and merge into one summary row
+    repeated = sorted({tok for tok in tokens if tokens.count(tok) > 1})
+    if repeated:
+        raise ValueError(f"method listed more than once: {', '.join(repeated)}")
     return tokens
 
 
@@ -139,7 +125,6 @@ CONFIG_SCHEMA = {
     "runs": (int, 200),
     "seed": (int, 0),
     "methods": (_cast_methods, ("bb", "sgp", "bfgs", "em", "em1", "em2", "opt")),
-    "lambda_only": (_cast_bool, False),
     "mode": (_cast_mode, "onestep"),
     "out": (str, "."),
     "workers": (int, 1),
@@ -189,10 +174,6 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
         raise ConfigError("workers must be >= 1")
     if any(nk < 1 for nk in resolved["nk_sweep"]):
         raise ConfigError("nk_sweep entries must be >= 1")
-    if resolved["lambda_only"]:
-        resolved["methods"] = tuple(
-            LAMBDA_ONLY_MAP.get(tok, tok) for tok in resolved["methods"]
-        )
     return resolved
 
 
@@ -409,12 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", default=None, help="key=value config file")
         p.add_argument("--nk", type=int, default=None, help="batch size (overrides n_k and the sweep)")
-        for key, (cast, _) in CONFIG_SCHEMA.items():
-            flag = "--" + key.replace("_", "-")
-            if cast is _cast_bool:
-                p.add_argument(flag, dest=key, action="store_const", const=True, default=None)
-            else:
-                p.add_argument(flag, dest=key, metavar="VALUE", default=None)
+        for key in CONFIG_SCHEMA:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, metavar="VALUE", default=None)
         if name == "stream":
             p.add_argument("input", metavar="DATA", help="two-column u,y file")
     return parser

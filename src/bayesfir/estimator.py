@@ -91,7 +91,6 @@ class OnlineEstimator:
         self._sigma2 = None
         self._opt_state = None
         self._batch_index = 0
-        self._snapshot = None
 
     @property
     def initialized(self) -> bool:
@@ -123,7 +122,6 @@ class OnlineEstimator:
         self._sigma2 = sigma2
         self._opt_state = state
         self._batch_index = 0
-        self._snapshot = None
 
     def process_batch(self, u, y) -> EstimateSnapshot:
         """Fold one batch in and return the refreshed estimate.
@@ -165,7 +163,7 @@ class OnlineEstimator:
         self._sigma2 = sigma2
         self._opt_state = state_new
         self._batch_index += 1
-        self._snapshot = EstimateSnapshot(
+        return EstimateSnapshot(
             h=h,
             eta=eta_new,
             sigma2=sigma2,
@@ -173,10 +171,3 @@ class OnlineEstimator:
             batch_index=self._batch_index,
             seconds=elapsed,
         )
-        return self._snapshot
-
-    def current_estimate(self) -> EstimateSnapshot:
-        """Latest snapshot; read-only, so repeated calls agree exactly."""
-        if self._snapshot is None:
-            raise RuntimeError("no batch processed yet")
-        return self._snapshot

@@ -72,7 +72,7 @@ class OptimizerConfig:
     beta_eps: float = 1e-6
     opt_tol: float = 1e-6
     opt_max_iter: int = 500
-    em_golden_tol: float = 1e-6  # beta tolerance of em's Newton polish
+    em_beta_tol: float = 1e-6  # em's Newton polish stops at a beta step this small
 
 
 @dataclass(frozen=True)
@@ -474,7 +474,7 @@ def em_step(
         lo, hi = cfg.beta_eps, 1.0 - cfg.beta_eps
         beta_cur = min(max(eta.beta, lo), hi)
         g_cur = objective(beta_cur)
-        beta_new = best_beta(lo, hi, cfg.em_golden_tol)
+        beta_new = best_beta(lo, hi, cfg.em_beta_tol)
         g_new = math.inf if beta_new is None else objective(beta_new)
         beta_sel = beta_new if g_new < g_cur else beta_cur
         # lam = 0 when neither beta gave a finite objective

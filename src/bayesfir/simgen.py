@@ -57,9 +57,8 @@ class ExperimentConfig:
     """Benchmark protocol knobs shared by the CLI commands.
 
     ``methods`` holds CLI method tokens (cli.METHOD_TOKENS), each of which
-    already says whether it is lambda-only; ``--lambda-only`` is applied by
-    rewriting the tokens in cli.resolve_config.  The optimizer's constants
-    are not part of the protocol: they live in optim.OptimizerConfig.
+    says whether it is lambda-only.  The optimizer's constants are not part
+    of the protocol: they live in optim.OptimizerConfig.
     """
 
     n: int = 80

@@ -67,8 +67,9 @@ class SufficientStats:
     """Compressed regression statistics plus the input tail for row building.
 
     ``gram`` is the augmented Gram matrix [[R, ytilde], [ytilde', ybar]],
-    and R, ytilde and ybar read its blocks.  ``C`` = U' R U (contiguous)
-    and ``cum_y`` = U' ytilde are the same statistics in the kernel-root basis.
+    read whole by ``noise_variance``; ``ybar`` reads its last diagonal
+    entry.  ``C`` = U' R U (contiguous) and ``cum_y`` = U' ytilde are the
+    same statistics in the kernel-root basis, which the likelihood reads.
     """
 
     n: int
@@ -77,14 +78,6 @@ class SufficientStats:
     cum_y: np.ndarray
     nbar: int
     history: np.ndarray  # last n-1 inputs seen, oldest first
-
-    @property
-    def R(self) -> np.ndarray:
-        return self.gram[: self.n, : self.n]
-
-    @property
-    def ytilde(self) -> np.ndarray:
-        return self.gram[: self.n, self.n]
 
     @property
     def ybar(self) -> float:

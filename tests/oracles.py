@@ -49,6 +49,16 @@ def unit_kernel_inverse_bands(n, beta):
     return diag, -scale[:-1]
 
 
+def gram_r(stats):
+    """R = Phi' Phi: the leading n x n block of the stored augmented Gram matrix."""
+    return stats.gram[: stats.n, : stats.n]
+
+
+def gram_ytilde(stats):
+    """ytilde = Phi' Y: the last column of the augmented Gram matrix, above ybar."""
+    return stats.gram[: stats.n, stats.n]
+
+
 def stats_from_moments(n, R, ytilde, ybar, nbar, history):
     """SufficientStats holding R, ytilde and ybar, with C = U'RU and U'ytilde by cumulative sums."""
     R = np.asarray(R, dtype=float)
@@ -82,8 +92,8 @@ def dense_least_squares(u, y, n):
 
 def ridge_residual(stats, ridge):
     """ybar - ytilde' (R + ridge I)^-1 ytilde by a dense solve."""
-    x = np.linalg.solve(stats.R + ridge * np.eye(stats.n), stats.ytilde)
-    return stats.ybar - float(stats.ytilde @ x)
+    x = np.linalg.solve(gram_r(stats) + ridge * np.eye(stats.n), gram_ytilde(stats))
+    return stats.ybar - float(gram_ytilde(stats) @ x)
 
 
 def dense_neg_log_ml(u, y, n, lam, beta, sigma2):
@@ -103,8 +113,8 @@ def dense_posterior(ctx, eta):
     interior.
     """
     kinv = np.linalg.inv(dense_tc_kernel(ctx.stats.n, eta.lam, eta.beta))
-    mean = np.linalg.solve(ctx.stats.R + ctx.sigma2 * kinv, ctx.stats.ytilde)
-    cov = np.linalg.inv(ctx.stats.R / ctx.sigma2 + kinv)
+    mean = np.linalg.solve(gram_r(ctx.stats) + ctx.sigma2 * kinv, gram_ytilde(ctx.stats))
+    cov = np.linalg.inv(gram_r(ctx.stats) / ctx.sigma2 + kinv)
     return mean, cov
 
 

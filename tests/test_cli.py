@@ -70,20 +70,11 @@ def test_resolve_config_rejects_bad_values():
         ("methods", "sgp,warp"),
         ("mode", "sometimes"),
         ("n", "eighty"),
-        ("lambda_only", "perhaps"),
     ):
         over = dict(empty)
         over[key] = bad
         with pytest.raises(cli.ConfigError):
             cli.resolve_config({}, over)
-
-
-def test_lambda_only_rewrites_method_tokens():
-    over = {k: None for k in cli.CONFIG_SCHEMA}
-    over["methods"] = "bb,sgp,bfgs,em,opt,em1"
-    over["lambda_only"] = True
-    resolved = cli.resolve_config({}, over)
-    assert resolved["methods"] == ("bb_lambda", "sgp_lambda", "bfgs_lambda", "em2", "opt_lambda", "em1")
 
 
 def test_config_file_parsing(tmp_path):
@@ -98,6 +89,27 @@ def test_config_file_parsing(tmp_path):
     ugly.write_text("n 10\n")
     with pytest.raises(cli.ConfigError, match="line 1"):
         cli.parse_config_file(str(ugly))
+
+
+def test_lambda_only_is_a_token_not_an_option(tmp_path):
+    # the lambda-only runs are the *_lambda tokens and em1/em2; there is no
+    # flag or config key that rewrites the other tokens into them
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["single", "--lambda-only"] + base_args(tmp_path))
+    assert exc.value.code == 2
+    path = tmp_path / "run.cfg"
+    path.write_text("n = 10\nlambda_only = 1\n")
+    with pytest.raises(cli.ConfigError, match="line 2"):
+        cli.parse_config_file(str(path))
+
+
+def test_repeated_method_tokens_exit_2(tmp_path, capsys):
+    # a token listed twice would run twice, and summary.csv would merge the
+    # two passes into one row
+    for methods in ("sgp,sgp", "sgp,em1,sgp"):
+        assert cli.main(["montecarlo"] + base_args(tmp_path, ["--methods", methods])) == 2
+        assert "sgp" in capsys.readouterr().err
+    assert not (tmp_path / "runs.csv").exists()
 
 
 def test_optimizer_constants_are_not_config_keys(tmp_path):

@@ -311,7 +311,7 @@ def test_em_beta_search_beats_a_dense_scan_and_golden_section(seed, n, decay):
     lo, hi = CFG.beta_eps, 1.0 - CFG.beta_eps
     grid = np.linspace(lo, hi, 10_000).tolist()
     scan = [objective(b) for b in grid]
-    beta = best_beta(lo, hi, CFG.em_golden_tol)
+    beta = best_beta(lo, hi, CFG.em_beta_tol)
     if n == 1:  # the profile is flat in beta, and there is nothing to search
         assert beta is None
         # log(M_11 / b) + log(b) = log(M_11), up to the rounding of terms of
@@ -325,7 +325,7 @@ def test_em_beta_search_beats_a_dense_scan_and_golden_section(seed, n, decay):
     assert lo <= beta <= hi
     assert got <= min(scan) + 1e-10 * abs(got)
     # at a shared minimum the two differ only by the rounding of objective
-    assert got <= golden_min(objective, lo, hi, CFG.em_golden_tol)[1] + 1e-14 * abs(got)
+    assert got <= golden_min(objective, lo, hi, CFG.em_beta_tol)[1] + 1e-14 * abs(got)
 
 
 def test_em_profile_is_inf_where_the_kernel_inverse_does_not_exist():

@@ -1,10 +1,14 @@
-"""Every name and every defaulted parameter in the package is used by the package.
+"""Every name, member and defaulted parameter in the package is used by the package.
 
 A definition that only tests call is code no run executes, and a parameter
 that no package caller passes is a knob no run turns; these checks keep
 both from piling up.  Definitions are module-level functions, classes and
 assigned names; a reference is any name or attribute read in a module other
-than ``__init__.py``, so an import alone does not count.
+than ``__init__.py``, so an import or a re-export alone does not count.
+Members are the methods and properties of the package's classes, dunders
+aside; each must be read as an attribute in such a module.  Dataclass and
+NamedTuple fields are data, which callers outside the package may read, and
+are not checked.
 """
 
 import ast
@@ -13,6 +17,17 @@ from pathlib import Path
 import bayesfir
 
 PACKAGE = Path(bayesfir.__file__).parent
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _modules():
+    """(file name, syntax tree) of every package module but ``__init__.py``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.name, ast.parse(path.read_text())
 
 
 def _defined(tree):
@@ -35,29 +50,47 @@ def _referenced(tree):
             yield node.attr
 
 
-def test_no_definition_is_unused_and_unexported():
-    init = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = {
-        alias.asname or alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+def _members(tree):
+    """(class, name) of every method and property defined in a class body."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, item.name
+
+
+def _attributes_read(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_no_definition_is_unused():
     defined = []
     referenced = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
-        defined += [(path.name, name) for name in _defined(tree)]
+    for module, tree in _modules():
+        defined += [(module, name) for name in _defined(tree)]
         referenced.update(_referenced(tree))
     unused = sorted(
         f"{module}:{name}"
         for module, name in defined
-        if name not in referenced and name not in exported
-        and not (name.startswith("__") and name.endswith("__"))
+        if name not in referenced and not _is_dunder(name)
     )
-    assert not unused, f"defined but never used in the package nor exported: {unused}"
+    assert not unused, f"defined but never used in the package: {unused}"
+
+
+def test_every_member_is_read_in_the_package():
+    members = []
+    read = set()
+    for module, tree in _modules():
+        members += [(module, cls, name) for cls, name in _members(tree)]
+        read.update(_attributes_read(tree))
+    unread = sorted(
+        f"{module}:{cls}.{name}"
+        for module, cls, name in members
+        if name not in read and not _is_dunder(name)
+    )
+    assert not unread, f"methods or properties no package module reads: {unread}"
 
 
 # entry points called from outside the package, with their defaulted parameters
