@@ -11,6 +11,11 @@ here.
 * ``stream``     run the estimator over a recorded u,y file (no fit column);
                  n_total is the file's length.
 
+Each stream's warmup chunk is optimized once (``warm_start``), and every
+method of the run -- every batch size of the ``single`` sweep too -- starts
+from that one record; the timing columns count batches only, never the
+warmup.
+
 All randomness derives from the config seed, so the statistical content of
 every output file is reproducible; the timing columns are measured wall time
 and necessarily vary between invocations.  Exit codes: 0 success, 2
@@ -133,7 +138,7 @@ CONFIG_SCHEMA = {
 
 def parse_config_file(path: str) -> dict:
     """Read a flat key=value config file into raw string values."""
-    raw = {}
+    raw, lines = {}, {}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -145,7 +150,11 @@ def parse_config_file(path: str) -> dict:
                 key, value = (part.strip() for part in text.split("=", 1))
                 if key not in CONFIG_SCHEMA:
                     raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
-                raw[key] = value
+                if key in lines:
+                    raise ConfigError(
+                        f"{path}: line {lineno}: config key {key!r} already set on line {lines[key]}"
+                    )
+                raw[key], lines[key] = value, lineno
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return raw
@@ -193,19 +202,24 @@ def experiment_config(resolved: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def run_trace(u, y, h_true, token, xcfg, ocfg, run_id, mode_override=None):
-    """Run one estimator over the stream; one output row per batch."""
+def warm_start(u, y, xcfg, ocfg):
+    """The stream's warmup, optimized once; every method of a run starts from it."""
+    warm = xcfg.n_warmup
+    return OnlineEstimator(n=xcfg.n, config=ocfg).initialize(u[:warm], y[:warm])
+
+
+def run_trace(u, y, h_true, token, xcfg, warm, run_id, mode_override=None):
+    """Run one estimator from the warm start over the stream; one output row per batch."""
     method, lam_only, mode = METHOD_TOKENS[token]
     if mode_override == "opt":
         mode = "opt"
     est = OnlineEstimator(
-        n=xcfg.n, method=method, mode=mode, lambda_only=lam_only, config=ocfg
+        n=xcfg.n, method=method, mode=mode, lambda_only=lam_only, config=warm.config
     )
-    warm = xcfg.n_warmup
-    est.initialize(u[:warm], y[:warm])
+    est.start(warm)
     rows = []
     cumulative = 0.0
-    for start in range(warm, len(u), xcfg.n_k):
+    for start in range(xcfg.n_warmup, len(u), xcfg.n_k):
         snap = est.process_batch(u[start : start + xcfg.n_k], y[start : start + xcfg.n_k])
         cumulative += snap.seconds
         fit_val = fit(h_true, snap.h) if h_true is not None else None
@@ -271,13 +285,14 @@ def cmd_single(resolved: dict) -> None:
     system = random_system(rng, xcfg.n)
     u = bandlimited_input(rng, xcfg.n_total)
     y = simulate_io(system, u, xcfg.snr, rng)
+    warm = warm_start(u, y, xcfg, OptimizerConfig())  # the sweep varies nk, not the warmup
     rows = []
     for nk in resolved["nk_sweep"]:
         xcfg_nk = replace(xcfg, n_k=nk)
         for token in xcfg.methods:
             rows.extend(
                 run_trace(
-                    u, y, system.h_true, token, xcfg_nk, OptimizerConfig(),
+                    u, y, system.h_true, token, xcfg_nk, warm,
                     run_id=nk, mode_override=resolved["mode"],
                 )
             )
@@ -295,10 +310,11 @@ def _mc_run(args):
     system = random_system(rng, xcfg.n)
     u = bandlimited_input(rng, xcfg.n_total)
     y = simulate_io(system, u, xcfg.snr, rng)
+    warm = warm_start(u, y, xcfg, ocfg)
     rows = []
     for token in xcfg.methods:
         rows.extend(
-            run_trace(u, y, system.h_true, token, xcfg, ocfg, run_id=run_index, mode_override=mode)
+            run_trace(u, y, system.h_true, token, xcfg, warm, run_id=run_index, mode_override=mode)
         )
     return rows
 
@@ -363,13 +379,11 @@ def cmd_stream(resolved: dict, input_path: str) -> None:
     xcfg = experiment_config(resolved)
     out = resolved["out"]
     os.makedirs(out, exist_ok=True)
+    warm = warm_start(u, y, xcfg, OptimizerConfig())
     rows = []
     for token in xcfg.methods:
         rows.extend(
-            run_trace(
-                u, y, None, token, xcfg, OptimizerConfig(),
-                run_id=0, mode_override=resolved["mode"],
-            )
+            run_trace(u, y, None, token, xcfg, warm, run_id=0, mode_override=resolved["mode"])
         )
     columns = tuple(c for c in TRACE_COLUMNS if c != "fit")
     stripped = [row[:5] + row[6:] for row in rows]

@@ -6,6 +6,11 @@ hyperparameters receive exactly one update of the configured method (or a
 full re-optimization in ``opt`` mode), and the impulse-response estimate is
 the posterior mean under the updated prior.  Per-batch work is O(n^3) and
 state is O(n^2), independent of how much data has streamed past.
+
+The warmup's result is a ``WarmStart`` record apart from the estimator that
+computed it: ``initialize`` optimizes the first chunk once and returns the
+record, and ``start`` lets any estimator of the same order and optimizer
+constants begin from it, whatever its method, mode or ``lambda_only``.
 """
 
 from __future__ import annotations
@@ -30,6 +35,24 @@ from .stats import Batch, SufficientStats, ingest, noise_variance
 
 BETA0 = 0.9  # initial kernel decay before the warmup optimization
 MODES = ("onestep", "opt")
+
+
+@dataclass(frozen=True)
+class WarmStart:
+    """The warmup's result, shared by every estimator that starts from it.
+
+    ``eta`` is the warmup optimum; ``eta_prev`` and ``grad_prev`` are the
+    last iterate before it and its gradient over both coordinates, the
+    secant seed of the online updates.  ``stats`` is never mutated (ingest
+    returns new statistics), so one record serves any number of estimators.
+    """
+
+    config: OptimizerConfig
+    stats: SufficientStats
+    sigma2: float
+    eta: Hyperparameters
+    eta_prev: tuple
+    grad_prev: tuple
 
 
 @dataclass(frozen=True)
@@ -96,12 +119,14 @@ class OnlineEstimator:
     def initialized(self) -> bool:
         return self._stats is not None
 
-    def initialize(self, u, y) -> None:
-        """Warm up: ingest the first chunk and optimize eta to convergence.
+    def initialize(self, u, y) -> WarmStart:
+        """Warm up: ingest the first chunk, optimize eta to convergence, and start.
 
         The initial guess is lam0 = ybar / (nbar * n) (output power spread
         over the taps) and beta0 = 0.9; the warmup runs the full SGP
-        optimization and its last two iterates seed the online secant pair.
+        optimization whatever this estimator's method, and its last two
+        iterates seed the online secant pair.  Returns the record, which
+        ``start`` accepts on other estimators of the same n and config.
         """
         batch = Batch(u, y)
         stats = ingest(SufficientStats.empty(self.n), batch)
@@ -110,17 +135,35 @@ class OnlineEstimator:
         eta0 = Hyperparameters(lam0, BETA0)
         ctx = MLContext(stats, sigma2)
         rep, _ = opt_until_convergence(ctx, eta0, "sgp", self.config)
-        active = (0,) if self.lambda_only else (0, 1)
-        state = OptimizerState(
+        warm = WarmStart(
+            config=self.config,
+            stats=stats,
+            sigma2=sigma2,
+            eta=rep.eta_new,
             eta_prev=rep.state.eta_prev,
-            grad_prev=tuple(rep.state.grad_prev[i] for i in active),
+            grad_prev=rep.state.grad_prev,
+        )
+        self.start(warm)
+        return warm
+
+    def start(self, warm: WarmStart) -> None:
+        """Begin the stream from a warmup record, keeping the active gradient coordinates."""
+        if warm.stats.n != self.n:
+            raise ValueError(f"warm start has n={warm.stats.n}, estimator has n={self.n}")
+        if warm.config != self.config:
+            raise ValueError(
+                f"warm start was optimized with {warm.config}, estimator has {self.config}"
+            )
+        active = (0,) if self.lambda_only else (0, 1)
+        self._stats = warm.stats
+        self._eta = warm.eta
+        self._sigma2 = warm.sigma2
+        self._opt_state = OptimizerState(
+            eta_prev=warm.eta_prev,
+            grad_prev=tuple(warm.grad_prev[i] for i in active),
             tau=self.config.tau0,
             active=active,
         )
-        self._stats = stats
-        self._eta = rep.eta_new
-        self._sigma2 = sigma2
-        self._opt_state = state
         self._batch_index = 0
 
     def process_batch(self, u, y) -> EstimateSnapshot:
@@ -130,7 +173,7 @@ class OnlineEstimator:
         raised error leaves the estimator exactly as it was.
         """
         if not self.initialized:
-            raise RuntimeError("initialize() must run before process_batch()")
+            raise RuntimeError("initialize() or start() must run before process_batch()")
         start = time.perf_counter()
         batch = Batch(u, y)
         new_stats = ingest(self._stats, batch)

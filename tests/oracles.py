@@ -8,9 +8,13 @@ shared code path.
 import numpy as np
 from scipy.signal import firwin, lfilter
 
+from bayesfir.cli import METHOD_TOKENS
+from bayesfir.estimator import BETA0, OnlineEstimator
 from bayesfir.kernel import Hyperparameters
 from bayesfir.likelihood import MLContext
-from bayesfir.stats import Batch, SufficientStats, ingest
+from bayesfir.optim import OptimizerState, opt_until_convergence
+from bayesfir.simgen import fit
+from bayesfir.stats import Batch, SufficientStats, ingest, noise_variance
 
 
 def dense_tc_kernel(n, lam, beta):
@@ -204,3 +208,49 @@ def eta_from_array(arr):
     """Hyperparameters from an array [lam, beta]."""
     lam, beta = np.asarray(arr, dtype=float)
     return Hyperparameters(lam, beta)
+
+
+def initialize_on_its_own(est, u, y):
+    """Warm ``est`` up by setting its state directly, with no WarmStart record and no start().
+
+    Ingest the chunk, take sigma2, run SGP to convergence from
+    (ybar / (nbar n), BETA0), and seed the secant pair on the estimator's
+    own active coordinates.
+    """
+    stats = ingest(SufficientStats.empty(est.n), Batch(u, y))
+    sigma2 = noise_variance(stats)
+    eta0 = Hyperparameters(stats.ybar / (stats.nbar * est.n), BETA0)
+    rep, _ = opt_until_convergence(MLContext(stats, sigma2), eta0, "sgp", est.config)
+    active = (0,) if est.lambda_only else (0, 1)
+    est._stats, est._eta, est._sigma2, est._batch_index = stats, rep.eta_new, sigma2, 0
+    est._opt_state = OptimizerState(
+        eta_prev=rep.state.eta_prev,
+        grad_prev=tuple(rep.state.grad_prev[i] for i in active),
+        tau=est.config.tau0,
+        active=active,
+    )
+
+
+def own_warmup_trace(u, y, h_true, token, xcfg, warm, run_id, mode_override=None):
+    """cli.run_trace's rows from an estimator that optimizes its own warmup.
+
+    Takes run_trace's arguments but reads only the optimizer constants from
+    ``warm``: every method warms up on its own (``initialize_on_its_own``),
+    so the shared warm start can be checked against it.
+    """
+    method, lam_only, mode = METHOD_TOKENS[token]
+    if mode_override == "opt":
+        mode = "opt"
+    est = OnlineEstimator(xcfg.n, method=method, mode=mode, lambda_only=lam_only, config=warm.config)
+    initialize_on_its_own(est, u[: xcfg.n_warmup], y[: xcfg.n_warmup])
+    rows = []
+    cumulative = 0.0
+    for start in range(xcfg.n_warmup, len(u), xcfg.n_k):
+        snap = est.process_batch(u[start : start + xcfg.n_k], y[start : start + xcfg.n_k])
+        cumulative += snap.seconds
+        rows.append([
+            run_id, token, int(lam_only), snap.batch_index, snap.nbar,
+            fit(h_true, snap.h) if h_true is not None else None,
+            snap.eta.lam, snap.eta.beta, snap.sigma2, snap.seconds, cumulative,
+        ])
+    return rows

@@ -3,7 +3,8 @@
 Every test prints a single ``CRITERION k: PASS/FAIL`` line (run with ``-s``
 to see all of them) and then asserts on the same condition, so a red run
 names exactly the guarantee that broke.  Criteria 8-10 share one Monte
-Carlo study fixture; expect a few minutes of wall time for the module.
+Carlo study fixture, and criterion 10 repeats its one-step streams twice;
+expect a few minutes of wall time for the module.
 """
 
 import time
@@ -253,8 +254,7 @@ def test_criterion_7_rank_one_update_and_batch_split_invariance():
     )
 
 
-@pytest.fixture(scope="module")
-def study():
+def _study_rows(methods):
     """Trace rows of the benchmark study, grouped token -> run -> batch rows."""
     xcfg = ExperimentConfig(
         n=80,
@@ -264,12 +264,41 @@ def study():
         snr=5.0,
         runs=20,
         seed=1,
-        methods=ONESTEP + ("opt", "opt_lambda"),
+        methods=methods,
     )
     grouped = {}
     for row in montecarlo_rows(xcfg, OptimizerConfig(), mode="onestep", workers=1):
         grouped.setdefault(row[1], {}).setdefault(row[0], []).append(row)
     return grouped
+
+
+@pytest.fixture(scope="module")
+def study():
+    return _study_rows(ONESTEP + ("opt", "opt_lambda"))
+
+
+def _batch_seconds(grouped, tok):
+    """runs x batches array of a token's per-batch wall time."""
+    return np.array([[row[9] for row in rows] for rows in grouped[tok].values()])
+
+
+@pytest.fixture(scope="module")
+def onestep_batch_seconds(study):
+    """Per-batch seconds of every one-step token, least over three identical passes.
+
+    The study's pass plus two repeats of its one-step streams: the work is
+    deterministic (every non-timing column must repeat), and host load only
+    ever adds time, so a load burst counts only if it hits the same batch in
+    all three passes.
+    """
+    least = {tok: _batch_seconds(study, tok) for tok in ONESTEP}
+    for _ in range(2):
+        repeat = _study_rows(ONESTEP)
+        for tok in ONESTEP:
+            for run, rows in repeat[tok].items():
+                assert [r[:9] for r in rows] == [r[:9] for r in study[tok][run]], (tok, run)
+            least[tok] = np.minimum(least[tok], _batch_seconds(repeat, tok))
+    return least
 
 
 def test_criterion_8_final_fit_quality(study):
@@ -318,14 +347,13 @@ def test_criterion_9_one_step_speedup_and_lambda_only_cost(study):
     )
 
 
-def test_criterion_10_per_batch_cost_stays_flat(study):
+def test_criterion_10_per_batch_cost_stays_flat(onestep_batch_seconds):
     worst = 0.0
     for tok in ONESTEP:
-        per_run = np.array([[row[9] for row in rows] for rows in study[tok].values()])
-        med = np.median(per_run, axis=0)
+        med = np.median(onestep_batch_seconds[tok], axis=0)
         k = max(1, med.size // 10)
         first = float(np.median(med[:k]))
         last = float(np.median(med[-k:]))
         worst = max(worst, abs(last / first - 1.0))
     ok = worst < 0.30
-    _verdict(10, ok, f"worst first-vs-last decile drift {worst:.1%} (<30%)")
+    _verdict(10, ok, f"worst first-vs-last decile drift {worst:.1%} (<30%, least of 3 passes per batch)")

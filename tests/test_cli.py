@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import bayesfir
-from bayesfir import cli
+from bayesfir import cli, estimator
 from bayesfir.optim import OptimizerConfig
 from bayesfir.simgen import dump_dataset, load_dataset
+
+from oracles import own_warmup_trace
 
 BASE = {
     "n": "20",
@@ -91,6 +93,18 @@ def test_config_file_parsing(tmp_path):
         cli.parse_config_file(str(ugly))
 
 
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    # a key set twice used to resolve silently to its last value
+    path = tmp_path / "twice.cfg"
+    path.write_text("n = 20\nsnr = 5\n\nn = 40\n")
+    with pytest.raises(cli.ConfigError, match="line 4.*'n'.*line 1"):
+        cli.parse_config_file(str(path))
+    assert cli.main(["single", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "line 1" in err
+    assert not (tmp_path / "single_trace.csv").exists()
+
+
 def test_lambda_only_is_a_token_not_an_option(tmp_path):
     # the lambda-only runs are the *_lambda tokens and em1/em2; there is no
     # flag or config key that rewrites the other tokens into them
@@ -125,19 +139,15 @@ def test_optimizer_constants_are_not_config_keys(tmp_path):
         assert exc.value.code == 2
 
 
+TIMING_COLUMNS = ("batch_seconds", "cumulative_seconds", "total_seconds")
+
+
 def strip_timing(path):
-    """CSV lines with the per-batch and cumulative wall-time columns removed."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                out.append(line)
-                continue
-            cells = line.split(",")
-            keep = [c for i, c in enumerate(cells) if i not in (len(cells) - 1, len(cells) - 2)]
-            out.append(",".join(keep))
-    return out
+    """CSV lines without the wall-time columns and the config comment (it echoes out=)."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("# config:")]
+    header = next(ln for ln in lines if not ln.startswith("#")).split(",")
+    keep = [i for i, name in enumerate(header) if name not in TIMING_COLUMNS]
+    return [ln if ln.startswith("#") else ",".join(ln.split(",")[i] for i in keep) for ln in lines]
 
 
 def test_single_writes_trace_system_and_dataset(tmp_path):
@@ -161,7 +171,7 @@ def test_single_writes_trace_system_and_dataset(tmp_path):
     # a second run reproduces everything except wall-clock columns and the
     # config comment (which embeds the output directory)
     assert cli.main(["single"] + base_args(tmp_path / "b")) == 0
-    assert strip_timing(tmp_path / "a" / "single_trace.csv")[2:] == strip_timing(tmp_path / "b" / "single_trace.csv")[2:]
+    assert strip_timing(tmp_path / "a" / "single_trace.csv") == strip_timing(tmp_path / "b" / "single_trace.csv")
 
     def sans_config(path):
         return [ln for ln in path.read_text().splitlines() if not ln.startswith("# config:")]
@@ -195,7 +205,7 @@ def test_montecarlo_outputs_and_worker_independence(tmp_path):
         assert abs(sum(float(r[10]) for r in finals) - float(row[5])) < 1e-9
     # fanning out across processes must not change any numbers
     assert cli.main(["montecarlo"] + base_args(tmp_path / "w2", ["--nk", "30", "--workers", "2"])) == 0
-    assert strip_timing(tmp_path / "w1" / "runs.csv")[2:] == strip_timing(tmp_path / "w2" / "runs.csv")[2:]
+    assert strip_timing(tmp_path / "w1" / "runs.csv") == strip_timing(tmp_path / "w2" / "runs.csv")
 
 
 def test_stream_reproduces_single_trace(tmp_path):
@@ -212,6 +222,79 @@ def test_stream_reproduces_single_trace(tmp_path):
     for srow, trow in zip(srows, trows):
         trimmed = trow[:fit_idx] + trow[fit_idx + 1:]
         assert srow[1:-2] == trimmed[1:-2]  # run_id and wall time may differ
+
+
+ALL_TOKENS = ",".join(cli.METHOD_TOKENS)
+
+
+def run_all_commands(tmp_path, name, extra_montecarlo):
+    """Run montecarlo (once per extra flag list), single and stream over all tokens at n = 20."""
+    out = tmp_path / name
+    extra = ["--methods", ALL_TOKENS, "--n-total", "160", "--nk", "10"]
+    for tag, flags in extra_montecarlo.items():
+        assert cli.main(["montecarlo"] + base_args(out / tag, extra + flags)) == 0
+    sweep = ["--methods", ALL_TOKENS, "--n-total", "160", "--nk-sweep", "1,10"]
+    assert cli.main(["single"] + base_args(out / "single", sweep)) == 0
+    data = str(out / "single" / "dataset.csv")
+    assert cli.main(["stream"] + base_args(out / "stream", extra + [data])) == 0
+    return out
+
+
+def test_shared_warm_start_writes_the_own_warmup_outputs(tmp_path, monkeypatch):
+    # the reference warms every method up on its own; starting them all from
+    # one warmup must not change a single non-timing byte of any output
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_trace", own_warmup_trace)
+        ref = run_all_commands(tmp_path, "ref", {"w1": [], "opt": ["--mode", "opt"]})
+    got = run_all_commands(tmp_path, "got", {
+        "w1": [], "w2": ["--workers", "2"], "opt": ["--mode", "opt"],
+    })
+    pairs = [("w1", "w1"), ("w1", "w2"), ("opt", "opt")]
+    files = [(f"{g}/{name}", f"{r}/{name}") for r, g in pairs for name in ("runs.csv", "summary.csv")]
+    files += [("single/single_trace.csv",) * 2, ("stream/stream_trace.csv",) * 2]
+    for got_name, ref_name in files:
+        assert strip_timing(got / got_name) == strip_timing(ref / ref_name), got_name
+    _, _, rows = read_csv(got / "w1" / "runs.csv")
+    assert {r[1] for r in rows} == set(cli.METHOD_TOKENS)
+
+
+def test_one_warmup_optimization_per_stream(tmp_path, monkeypatch):
+    # every method of a run starts from one warmup: R runs make R, the nk
+    # sweep of single makes one, and stream makes one; no warmup
+    # optimization happens outside initialize
+    calls = {"initialize": 0, "opt": 0, "in_batch": False}
+    real_init = estimator.OnlineEstimator.initialize
+    real_batch = estimator.OnlineEstimator.process_batch
+    real_opt = estimator.opt_until_convergence
+
+    def counting_init(self, u, y):
+        calls["initialize"] += 1
+        return real_init(self, u, y)
+
+    def flagging_batch(self, u, y):
+        calls["in_batch"] = True
+        try:
+            return real_batch(self, u, y)
+        finally:
+            calls["in_batch"] = False
+
+    def counting_opt(*args, **kwargs):
+        calls["opt"] += not calls["in_batch"]
+        return real_opt(*args, **kwargs)
+
+    monkeypatch.setattr(estimator.OnlineEstimator, "initialize", counting_init)
+    monkeypatch.setattr(estimator.OnlineEstimator, "process_batch", flagging_batch)
+    monkeypatch.setattr(estimator, "opt_until_convergence", counting_opt)
+    methods = ["--methods", "sgp,em1,bfgs_lambda,opt"]
+    for argv, want in (
+        (["montecarlo", "--runs", "3"], 3),
+        (["montecarlo", "--runs", "3", "--mode", "opt"], 3),
+        (["single", "--nk-sweep", "10,30"], 1),
+        (["stream", "--nk", "30", str(tmp_path / "dataset.csv")], 1),
+    ):
+        calls.update(initialize=0, opt=0)
+        assert cli.main(argv[:1] + base_args(tmp_path, argv[1:] + methods)) == 0
+        assert (calls["initialize"], calls["opt"]) == (want, want), argv
 
 
 def test_stream_input_errors_exit_2(tmp_path, capsys):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from bayesfir import Hyperparameters, OnlineEstimator
-from bayesfir import estimator, likelihood, optim, stats
+from bayesfir import cli, estimator, likelihood, optim, stats
 from bayesfir.likelihood import MLContext, _factorize, _mean
 from bayesfir.optim import OptimizerConfig, _interior
 from bayesfir.simgen import bandlimited_input, random_system, simulate_io
 from bayesfir.stats import noise_variance
 
-from oracles import dense_least_squares, dense_regressors
+from oracles import dense_least_squares, dense_regressors, initialize_on_its_own
 
 
 def make_stream(seed, n_samples, n=8, snr=8.0):
@@ -48,6 +48,49 @@ def test_em2_batch_from_zero_eta_stays_at_zero():
     snap = est.process_batch(u[100:110], y[100:110])
     assert (snap.eta.lam, snap.eta.beta) == (0.0, 0.0)
     np.testing.assert_array_equal(snap.h, np.zeros(20))
+
+
+def test_start_from_a_shared_warmup_matches_own_initialize():
+    # one warmup record, optimized by a plain sgp estimator, starts every
+    # token; each must run bit for bit as if it had warmed up on its own,
+    # through initialize and through the reference that sets its state
+    # without a record
+    rng = np.random.default_rng(np.random.SeedSequence((3, 0)))
+    system = random_system(rng, 20)
+    u = bandlimited_input(rng, 200)
+    y = simulate_io(system, u, 5.0, rng)
+    warm = OnlineEstimator(20).initialize(u[:100], y[:100])
+
+    def fingerprint(snap):
+        floats = np.array([snap.eta.lam, snap.eta.beta, snap.sigma2])
+        return snap.h.tobytes(), floats.tobytes(), snap.nbar
+
+    for token, (method, lambda_only, mode) in cli.METHOD_TOKENS.items():
+        shared, own, ref = (
+            OnlineEstimator(20, method=method, mode=mode, lambda_only=lambda_only)
+            for _ in range(3)
+        )
+        shared.start(warm)
+        assert own.initialize(u[:100], y[:100]).eta == warm.eta
+        initialize_on_its_own(ref, u[:100], y[:100])
+        for start in range(100, 200, 10):
+            ub, yb = u[start:start + 10], y[start:start + 10]
+            want = fingerprint(ref.process_batch(ub, yb))
+            assert fingerprint(shared.process_batch(ub, yb)) == want, (token, start)
+            assert fingerprint(own.process_batch(ub, yb)) == want, (token, start)
+
+
+def test_start_rejects_a_warm_start_of_another_order_or_config():
+    u, y, _ = make_stream(7, 80)
+    warm = OnlineEstimator(8).initialize(u, y)
+    with pytest.raises(ValueError, match="n=8.*n=6"):
+        OnlineEstimator(6).start(warm)
+    other = OptimizerConfig(opt_tol=1e-8)
+    with pytest.raises(ValueError, match=r"opt_tol=1e-06.*opt_tol=1e-08"):
+        OnlineEstimator(8, config=other).start(warm)
+    est = OnlineEstimator(8, method="em2")
+    est.start(warm)  # any method, mode or lambda_only of the same n and config
+    assert est.initialized
 
 
 def test_requires_initialization():
