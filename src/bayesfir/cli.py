@@ -2,9 +2,8 @@
 
 Three commands share one flat key=value config (every key can also be set
 with a ``--key value`` flag).  The config holds the experiment protocol
-only; the optimizer's step clamps, line-search rule and convergence
-thresholds are the defaults of ``optim.OptimizerConfig`` and cannot be set
-here.
+only; every run uses the defaults of ``optim.OptimizerConfig`` and the
+constants of ``optim``, and neither can be set here.
 
 * ``single``     one random system, a trace per method and per batch size.
 * ``montecarlo`` repeated runs with per-run RNG streams and a summary table.
@@ -13,8 +12,8 @@ here.
 
 Each stream's warmup chunk is optimized once (``warm_start``), and every
 method of the run -- every batch size of the ``single`` sweep too -- starts
-from that one record; the timing columns count batches only, never the
-warmup.
+from that one record (``run_methods``); the timing columns count batches
+only, never the warmup.
 
 All randomness derives from the config seed, so the statistical content of
 every output file is reproducible; the timing columns are measured wall time
@@ -32,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .estimator import BETA0, OnlineEstimator
+from .estimator import BETA0, MODES, OnlineEstimator
 from .optim import OptimizerConfig
 from .simgen import (
     ExperimentConfig,
@@ -101,22 +100,27 @@ def _cast_methods(text: str) -> tuple:
                 f"unknown method {tok!r}; expected one of {sorted(METHOD_TOKENS)}"
             )
     # a repeated token would run twice and merge into one summary row
-    repeated = sorted({tok for tok in tokens if tokens.count(tok) > 1})
-    if repeated:
-        raise ValueError(f"method listed more than once: {', '.join(repeated)}")
-    return tokens
+    return _unrepeated(tokens)
 
 
 def _cast_int_list(text: str) -> tuple:
     values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     if not values:
         raise ValueError("empty integer list")
+    # a repeated nk_sweep entry would write its rows twice under one run_id
+    return _unrepeated(values)
+
+
+def _unrepeated(values: tuple) -> tuple:
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"listed more than once: {', '.join(map(str, repeated))}")
     return values
 
 
 def _cast_mode(text: str) -> str:
-    if text not in ("onestep", "opt"):
-        raise ValueError(f"mode must be 'onestep' or 'opt', got {text!r}")
+    if text not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {text!r}")
     return text
 
 
@@ -241,6 +245,14 @@ def run_trace(u, y, h_true, token, xcfg, warm, run_id, mode_override=None):
     return rows
 
 
+def run_methods(u, y, h_true, xcfg, warm, run_id, mode):
+    """Trace rows of every method of the run over one stream, all from one warm start."""
+    rows = []
+    for token in xcfg.methods:
+        rows.extend(run_trace(u, y, h_true, token, xcfg, warm, run_id, mode_override=mode))
+    return rows
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -289,13 +301,7 @@ def cmd_single(resolved: dict) -> None:
     rows = []
     for nk in resolved["nk_sweep"]:
         xcfg_nk = replace(xcfg, n_k=nk)
-        for token in xcfg.methods:
-            rows.extend(
-                run_trace(
-                    u, y, system.h_true, token, xcfg_nk, warm,
-                    run_id=nk, mode_override=resolved["mode"],
-                )
-            )
+        rows.extend(run_methods(u, y, system.h_true, xcfg_nk, warm, nk, resolved["mode"]))
     _write_csv(os.path.join(out, "single_trace.csv"), SCHEMA_TRACE, resolved, TRACE_COLUMNS, rows)
     _write_csv(
         os.path.join(out, "system.csv"), SCHEMA_SYSTEM, resolved, ("h",),
@@ -311,12 +317,7 @@ def _mc_run(args):
     u = bandlimited_input(rng, xcfg.n_total)
     y = simulate_io(system, u, xcfg.snr, rng)
     warm = warm_start(u, y, xcfg, ocfg)
-    rows = []
-    for token in xcfg.methods:
-        rows.extend(
-            run_trace(u, y, system.h_true, token, xcfg, warm, run_id=run_index, mode_override=mode)
-        )
-    return rows
+    return run_methods(u, y, system.h_true, xcfg, warm, run_index, mode)
 
 
 def montecarlo_rows(xcfg, ocfg, mode="onestep", workers=1):
@@ -380,11 +381,7 @@ def cmd_stream(resolved: dict, input_path: str) -> None:
     out = resolved["out"]
     os.makedirs(out, exist_ok=True)
     warm = warm_start(u, y, xcfg, OptimizerConfig())
-    rows = []
-    for token in xcfg.methods:
-        rows.extend(
-            run_trace(u, y, None, token, xcfg, warm, run_id=0, mode_override=resolved["mode"])
-        )
+    rows = run_methods(u, y, None, xcfg, warm, 0, resolved["mode"])
     columns = tuple(c for c in TRACE_COLUMNS if c != "fit")
     stripped = [row[:5] + row[6:] for row in rows]
     _write_csv(os.path.join(out, "stream_trace.csv"), SCHEMA_STREAM, resolved, columns, stripped)

@@ -2,19 +2,24 @@
 
 Each arriving batch is folded into the sufficient statistics, the noise
 variance is re-estimated from the running least-squares residual, the kernel
-hyperparameters receive exactly one update of the configured method (or a
-full re-optimization in ``opt`` mode), and the impulse-response estimate is
-the posterior mean under the updated prior.  Per-batch work is O(n^3) and
-state is O(n^2), independent of how much data has streamed past.
+hyperparameters receive exactly one update of the configured method
+(``optim.step``; a full re-optimization in ``opt`` mode), and the
+impulse-response estimate is the posterior mean under the updated prior.
+Per-batch work is O(n^3) and state is O(n^2), independent of how much data
+has streamed past.
 
 The warmup's result is a ``WarmStart`` record apart from the estimator that
 computed it: ``initialize`` optimizes the first chunk once and returns the
-record, and ``start`` lets any estimator of the same order and optimizer
-constants begin from it, whatever its method, mode or ``lambda_only``.
+record, and ``start`` lets any estimator of the same order and
+``OptimizerConfig`` begin from it, whatever its method, mode or
+``lambda_only``.  The warmup and every ``opt``-mode batch solve from the
+same from-scratch start: lam0 = ybar / (nbar * n), and beta0 = BETA0 unless
+beta is frozen.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -22,15 +27,7 @@ import numpy as np
 
 from .kernel import Hyperparameters
 from .likelihood import MLContext, _mean
-from .optim import (
-    GRADIENT_METHODS,
-    METHODS,
-    OptimizerConfig,
-    OptimizerState,
-    em_step,
-    gradient_step,
-    opt_until_convergence,
-)
+from .optim import METHODS, TAU0, OptimizerConfig, OptimizerState, opt_until_convergence, step
 from .stats import Batch, SufficientStats, ingest, noise_variance
 
 BETA0 = 0.9  # initial kernel decay before the warmup optimization
@@ -82,12 +79,12 @@ class OnlineEstimator:
 
     Parameters
     ----------
-    n : FIR order (number of impulse-response taps).
+    n : FIR order (number of impulse-response taps), an integer >= 1.
     method : one of "bb", "sgp", "bfgs", "em", "em1", "em2".
     mode : "onestep" applies a single update per batch; "opt" re-runs the
         chosen updater to convergence on every batch (the reference baseline).
     lambda_only : freeze beta and adapt lam alone (implied by em1/em2).
-    config : optimizer constants; defaults match OptimizerConfig.
+    config : the optimizer's settable values; defaults match OptimizerConfig.
     """
 
     def __init__(
@@ -104,14 +101,17 @@ class OnlineEstimator:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if method == "em" and lambda_only:
             raise ValueError("use method 'em1' or 'em2' for lambda-only EM updates")
-        self.n = int(n)
+        if isinstance(n, bool):
+            raise TypeError(f"n must be an integer, got {n!r}")
+        self.n = operator.index(n)  # TypeError for 2.5 and other non-integers
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         self.method = method
         self.mode = mode
         self.lambda_only = bool(lambda_only) or method in ("em1", "em2")
         self.config = config or OptimizerConfig()
         self._stats = None
         self._eta = None
-        self._sigma2 = None
         self._opt_state = None
         self._batch_index = 0
 
@@ -131,10 +131,7 @@ class OnlineEstimator:
         batch = Batch(u, y)
         stats = ingest(SufficientStats.empty(self.n), batch)
         sigma2 = noise_variance(stats)
-        lam0 = stats.ybar / (stats.nbar * self.n)
-        eta0 = Hyperparameters(lam0, BETA0)
-        ctx = MLContext(stats, sigma2)
-        rep, _ = opt_until_convergence(ctx, eta0, "sgp", self.config)
+        rep = self._from_scratch(MLContext(stats, sigma2), BETA0, "sgp", False)
         warm = WarmStart(
             config=self.config,
             stats=stats,
@@ -157,14 +154,20 @@ class OnlineEstimator:
         active = (0,) if self.lambda_only else (0, 1)
         self._stats = warm.stats
         self._eta = warm.eta
-        self._sigma2 = warm.sigma2
         self._opt_state = OptimizerState(
             eta_prev=warm.eta_prev,
             grad_prev=tuple(warm.grad_prev[i] for i in active),
-            tau=self.config.tau0,
+            tau=TAU0,
             active=active,
         )
         self._batch_index = 0
+
+    def _from_scratch(self, ctx: MLContext, beta0: float, method: str, lambda_only: bool):
+        """``method`` run to convergence from lam0 = ybar / (nbar * n) and beta0; its last report."""
+        stats = ctx.stats
+        eta0 = Hyperparameters(stats.ybar / (stats.nbar * self.n), beta0)
+        rep, _ = opt_until_convergence(ctx, eta0, method, self.config, lambda_only=lambda_only)
+        return rep
 
     def process_batch(self, u, y) -> EstimateSnapshot:
         """Fold one batch in and return the refreshed estimate.
@@ -180,22 +183,14 @@ class OnlineEstimator:
         sigma2 = noise_variance(new_stats)
         ctx = MLContext(new_stats, sigma2)
 
-        state_new = self._opt_state
         if self.mode == "opt":
             # The full-optimization baseline restarts from the scale-aware
             # initializer every batch rather than polishing the previous
             # optimum, so its cost reflects a from-scratch solve.
-            lam0 = new_stats.ybar / (new_stats.nbar * self.n)
             beta0 = self._eta.beta if self.lambda_only else BETA0
-            rep, _ = opt_until_convergence(
-                ctx, Hyperparameters(lam0, beta0), self.method, self.config,
-                lambda_only=self.lambda_only,
-            )
-        elif self.method in GRADIENT_METHODS:
-            rep = gradient_step(ctx, self._opt_state, self._eta, self.method, self.config)
-            state_new = rep.state
+            rep = self._from_scratch(ctx, beta0, self.method, self.lambda_only)
         else:
-            rep = em_step(ctx, self._eta, self.method, self.config)
+            rep = step(ctx, self._opt_state, self._eta, self.method, self.config)
 
         eta_new = rep.eta_new
         h = _mean(rep.factors)
@@ -203,8 +198,7 @@ class OnlineEstimator:
 
         self._stats = new_stats
         self._eta = eta_new
-        self._sigma2 = sigma2
-        self._opt_state = state_new
+        self._opt_state = rep.state
         self._batch_index += 1
         return EstimateSnapshot(
             h=h,

@@ -8,10 +8,13 @@ with the metric B chosen per method (Barzilai-Borwein step, split gradient
 projection scaling, or a damped BFGS matrix) and gamma found by Armijo
 backtracking.  The EM alternatives share one update, em_step: lam in closed
 form, plus for ``em`` a search over beta (a fixed grid, polished by
-safeguarded Newton).  Every updater returns a StepReport carrying the
-likelihood factor at its new eta, from which the estimator forms the
-posterior mean.  State needed across batches is only the previous iterate,
-its gradient, the BB alternation threshold, and the BFGS matrix.
+safeguarded Newton); ``step`` runs the one that a method names, for a
+one-step batch and for each iteration of opt_until_convergence alike.
+Every updater returns a StepReport carrying the likelihood factor at its new
+eta, from which the estimator forms the posterior mean.  State needed across
+batches is only the previous iterate, its gradient, the BB alternation
+threshold, and the BFGS matrix.  OptimizerConfig holds the six settings a
+caller may vary; the rest are the module constants below.
 
 The optimizer moves one or two coordinates, so its vectors are tuples of
 Python floats and B is a tuple of rows: at this size a numpy call costs
@@ -45,8 +48,13 @@ EM_METHODS = ("em", "em1", "em2")
 METHODS = GRADIENT_METHODS + EM_METHODS
 
 # Gradient evaluations clamp eta away from the boundary of the feasible box,
-# where the split gradient is undefined.
+# where the split gradient is undefined; em searches beta on the same margin.
 GRAD_LAMBDA_FLOOR = 1e-12
+BETA_EPS = 1e-6
+D_MIN, D_MAX = 1e-10, 1e10  # sgp's clamp on its diagonal scaling
+TAU0 = 0.5  # initial Barzilai-Borwein alternation threshold
+BACKTRACK_FACTOR = 0.5  # Armijo step shrink per rejected candidate
+EM_BETA_TOL = 1e-6  # em's Newton polish stops at a beta step this small
 
 _IDENTITY = {1: ((1.0,),), 2: ((1.0, 0.0), (0.0, 1.0))}
 
@@ -59,20 +67,14 @@ _NEWTON_MAX_ITER = 60
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Step-size clamps, line-search knobs, and convergence thresholds."""
+    """BB step clamps, Armijo rule, and opt_until_convergence's stopping rule."""
 
     alpha_min: float = 1e-7
     alpha_max: float = 1e7
-    d_min: float = 1e-10
-    d_max: float = 1e10
-    tau0: float = 0.5
     armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     max_backtracks: int = 20
-    beta_eps: float = 1e-6
     opt_tol: float = 1e-6
     opt_max_iter: int = 500
-    em_beta_tol: float = 1e-6  # em's Newton polish stops at a beta step this small
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,10 @@ def _clamp_box(lam: float, beta: float) -> tuple:
     return max(lam, 0.0), min(max(beta, 0.0), 1.0)
 
 
-def _interior(eta: Hyperparameters, cfg: OptimizerConfig) -> Hyperparameters:
+def _interior(eta: Hyperparameters) -> Hyperparameters:
     """eta moved inside the box by the gradient's margins; eta itself when it already is."""
     lam = max(eta.lam, GRAD_LAMBDA_FLOOR)
-    beta = min(max(eta.beta, cfg.beta_eps), 1.0 - cfg.beta_eps)
+    beta = min(max(eta.beta, BETA_EPS), 1.0 - BETA_EPS)
     if lam == eta.lam and beta == eta.beta:
         return eta
     return Hyperparameters(lam, beta)
@@ -173,17 +175,17 @@ def bb_stepsize(r, w, tau: float, cfg: OptimizerConfig, metric=None):
     return a1, 1.1 * tau
 
 
-def sgp_scaling(eta_act, v_act, cfg: OptimizerConfig) -> tuple:
+def sgp_scaling(eta_act, v_act) -> tuple:
     """Diagonal scaling d_i = clamp(eta_i / V_i) from the positive gradient part.
 
-    A ratio that is not finite (V_i = 0 included) takes d_max.
+    A ratio that is not finite (V_i = 0 included) takes D_MAX.
     """
     out = []
     for e, v in zip(eta_act, v_act):
         ratio = e / v if v != 0.0 else math.inf
         if not math.isfinite(ratio):
-            ratio = cfg.d_max
-        out.append(min(max(ratio, cfg.d_min), cfg.d_max))
+            ratio = D_MAX
+        out.append(min(max(ratio, D_MIN), D_MAX))
     return tuple(out)
 
 
@@ -206,9 +208,9 @@ def bfgs_update(b_prev, r, w) -> tuple:
     return tuple(tuple(0.5 * (b[i][j] + b[j][i]) for j in dim) for i in dim)
 
 
-def _grad_at(ctx: MLContext, eta: Hyperparameters, active: tuple, cfg: OptimizerConfig):
+def _grad_at(ctx: MLContext, eta: Hyperparameters, active: tuple):
     """(grad, V, factor) on the active coordinates, at the interior-clamped eta."""
-    f = likelihood._factorize(ctx, _interior(eta, cfg))
+    f = likelihood._factorize(ctx, _interior(eta))
     if active == (0,):
         v_lam, u_lam = _lambda_split(ctx, f)
         return (v_lam - u_lam,), (v_lam,), f
@@ -236,23 +238,23 @@ def gradient_step(
     active = state.active
     lam, beta = here = (eta.lam, eta.beta)
 
-    grad, v, f = _grad_at(ctx, eta, active, cfg)
+    grad, v, f = _grad_at(ctx, eta, active)
     r, w = secant_pair(state, here, grad)
     tau_new = state.tau
     b_new = state.b_prev
     if method == "bb":
         alpha, tau_new = bb_stepsize(r, w, state.tau, cfg)
-        step = [alpha * g for g in grad]
+        move = [alpha * g for g in grad]
     elif method == "sgp":
-        d = sgp_scaling([here[i] for i in active], v, cfg)
+        d = sgp_scaling([here[i] for i in active], v)
         alpha, tau_new = bb_stepsize(r, w, state.tau, cfg, metric=d)
-        step = [(alpha * d_i) * g for d_i, g in zip(d, grad)]
+        move = [(alpha * d_i) * g for d_i, g in zip(d, grad)]
     else:  # bfgs
         b_new = bfgs_update(state.b_prev, r, w)
-        step = [_dot(row, grad) for row in b_new]
+        move = [_dot(row, grad) for row in b_new]
 
-    step.append(0.0)  # a frozen beta does not move
-    z_lam, z_beta = _clamp_box(lam - step[0], beta - step[1])
+    move.append(0.0)  # a frozen beta does not move
+    z_lam, z_beta = _clamp_box(lam - move[0], beta - move[1])
     delta = (z_lam - lam, z_beta - beta)
     slope = _dot(grad, delta)  # over the active coordinates only
 
@@ -268,7 +270,7 @@ def gradient_step(
         # The box is convex, so eta + gamma * delta stays feasible for any
         # gamma in [0, 1]; the clamp only sweeps up rounding residue.
         for i in range(cfg.max_backtracks + 1):
-            g = cfg.backtrack_factor**i
+            g = BACKTRACK_FACTOR**i
             cand = Hyperparameters(*_clamp_box(lam + g * delta[0], beta + g * delta[1]))
             try:
                 f_c = likelihood._factorize(ctx, cand)
@@ -323,7 +325,7 @@ def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
     profiled over lam, for 0 < beta < 1; it is inf wherever lam* is not
     finite and positive.
 
-    best_beta(lo, hi, tol) minimizes the objective on [lo, hi] (see
+    best_beta() minimizes the objective on [BETA_EPS, 1 - BETA_EPS] (see
     _best_beta); it returns None where there is nothing to search.
     """
     n = m_diag.size
@@ -348,22 +350,23 @@ def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
             return math.inf
         return n * math.log(lam) + half * math.log(beta) + (n - 1) * math.log1p(-beta)
 
-    def best_beta(lo: float, hi: float, tol: float):
+    def best_beta():
         # n = 1 leaves the objective flat in beta: log lam* + log beta = log M_11
-        return _best_beta(coef, lo, hi, tol) if n > 1 else None
+        return _best_beta(coef) if n > 1 else None
 
     return lam_star, objective, best_beta
 
 
 @functools.lru_cache(maxsize=8)
-def _beta_grid(n: int, lo: float, hi: float):
-    """em's search grid on [lo, hi] for n taps, computed once per (n, lo, hi).
+def _beta_grid(n: int):
+    """em's search grid on [BETA_EPS, 1 - BETA_EPS] for n taps, computed once per n.
 
     Returns the points, uniform in logit(beta) so that they crowd toward
     both ends of the box; their powers beta^0 .. beta^(n-1), one row each;
     the beta-only part of the profiled objective, -n(n-1)/2 log beta -
     log(1 - beta); and the mask of points where lam* exists.
     """
+    lo, hi = BETA_EPS, 1.0 - BETA_EPS
     s = np.linspace(math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi)), _GRID_POINTS)
     beta = 1.0 / (1.0 + np.exp(-s))
     beta[0], beta[-1] = lo, hi
@@ -377,8 +380,8 @@ def _beta_grid(n: int, lo: float, hi: float):
     return beta, powers, base, exists
 
 
-def _best_beta(coef: np.ndarray, lo: float, hi: float, tol: float):
-    """Minimizer over [lo, hi] of em's profiled objective, for n = coef.size >= 2.
+def _best_beta(coef: np.ndarray):
+    """Minimizer over [BETA_EPS, 1 - BETA_EPS] of em's profiled objective, for n = coef.size >= 2.
 
     Up to the constant n log n the objective is
 
@@ -390,11 +393,11 @@ def _best_beta(coef: np.ndarray, lo: float, hi: float, tol: float):
     derivative phi' = n F'/F - n(n-1)/(2 beta) + 1/(1 - beta) polishes it
     inside the bracket of its two grid neighbours, bisecting whenever a
     Newton step would leave the bracket or shrink it too slowly; it stops
-    once a step is below ``tol``.  Returns None when lam* exists at no grid
-    point.
+    once a step is below EM_BETA_TOL.  Returns None when lam* exists at no
+    grid point.
     """
     n = coef.size
-    grid, powers, base, exists = _beta_grid(n, lo, hi)
+    grid, powers, base, exists = _beta_grid(n)
     f_grid = powers @ coef
     ok = exists & (f_grid > 0.0)
     if not ok.any():
@@ -432,14 +435,12 @@ def _best_beta(coef: np.ndarray, lo: float, hi: float, tol: float):
         else:
             dx_old, dx = dx, 0.5 * (b - a)
             x = a + dx
-        if abs(dx) <= tol:
+        if abs(dx) <= EM_BETA_TOL:
             break
     return x
 
 
-def em_step(
-    ctx: MLContext, eta: Hyperparameters, method: str, cfg: OptimizerConfig = None
-) -> StepReport:
+def em_step(ctx: MLContext, eta: Hyperparameters, method: str) -> StepReport:
     """One EM update: posterior second moment at eta, then the exact M-step.
 
     lam has the closed form Tr(K_b^-1 M) / n for fixed beta, with M the
@@ -456,7 +457,6 @@ def em_step(
     """
     if method not in EM_METHODS:
         raise ValueError(f"unknown EM method {method!r}")
-    cfg = cfg or OptimizerConfig()
     f = likelihood._factorize(ctx, eta)
     if method == "em1":
         h = _mean(f)
@@ -471,10 +471,9 @@ def em_step(
         # kernel inverse is needed.
         eta_new = Hyperparameters(0.0, eta.beta)
     elif method == "em":
-        lo, hi = cfg.beta_eps, 1.0 - cfg.beta_eps
-        beta_cur = min(max(eta.beta, lo), hi)
+        beta_cur = min(max(eta.beta, BETA_EPS), 1.0 - BETA_EPS)
         g_cur = objective(beta_cur)
-        beta_new = best_beta(lo, hi, cfg.em_beta_tol)
+        beta_new = best_beta()
         g_new = math.inf if beta_new is None else objective(beta_new)
         beta_sel = beta_new if g_new < g_cur else beta_cur
         # lam = 0 when neither beta gave a finite objective
@@ -494,7 +493,7 @@ def em_step(
 def fresh_state(
     ctx: MLContext,
     eta: Hyperparameters,
-    cfg: OptimizerConfig = None,
+    *,
     lambda_only: bool = False,
 ) -> OptimizerState:
     """Optimizer state with a usable secant seed.
@@ -502,16 +501,22 @@ def fresh_state(
     The seed is eta scaled by (1 + 1e-3) componentwise (clamped to the box),
     whose gradient is evaluated on the current context.
     """
-    cfg = cfg or OptimizerConfig()
     active = (0,) if lambda_only else (0, 1)
     eta_prev = _clamp_box(eta.lam * (1.0 + 1e-3), eta.beta * (1.0 + 1e-3))
-    grad_prev, _, _ = _grad_at(ctx, Hyperparameters(*eta_prev), active, cfg)
+    grad_prev, _, _ = _grad_at(ctx, Hyperparameters(*eta_prev), active)
     return OptimizerState(
         eta_prev=eta_prev,
         grad_prev=grad_prev,
-        tau=cfg.tau0,
+        tau=TAU0,
         active=active,
     )
+
+
+def step(ctx: MLContext, state, eta: Hyperparameters, method: str, cfg: OptimizerConfig):
+    """One update of ``method`` from eta: gradient_step from ``state``, or em_step."""
+    if method in GRADIENT_METHODS:
+        return gradient_step(ctx, state, eta, method, cfg)
+    return em_step(ctx, eta, method)
 
 
 def opt_until_convergence(
@@ -537,14 +542,11 @@ def opt_until_convergence(
     eta = eta0
     state = None
     if method in GRADIENT_METHODS:
-        state = fresh_state(ctx, eta0, cfg, lambda_only=lambda_only)
+        state = fresh_state(ctx, eta0, lambda_only=lambda_only)
     iterations = 0
     for _ in range(cfg.opt_max_iter):
-        if method in GRADIENT_METHODS:
-            rep = gradient_step(ctx, state, eta, method, cfg)
-            state = rep.state
-        else:
-            rep = em_step(ctx, eta, method, cfg)
+        rep = step(ctx, state, eta, method, cfg)
+        state = rep.state
         eta = rep.eta_new
         iterations += 1
         if abs(rep.ml_after - rep.ml_before) <= cfg.opt_tol * (1.0 + abs(rep.ml_after)):

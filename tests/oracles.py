@@ -12,7 +12,7 @@ from bayesfir.cli import METHOD_TOKENS
 from bayesfir.estimator import BETA0, OnlineEstimator
 from bayesfir.kernel import Hyperparameters
 from bayesfir.likelihood import MLContext
-from bayesfir.optim import OptimizerState, opt_until_convergence
+from bayesfir.optim import TAU0, OptimizerState, opt_until_convergence
 from bayesfir.simgen import fit
 from bayesfir.stats import Batch, SufficientStats, ingest, noise_variance
 
@@ -222,11 +222,11 @@ def initialize_on_its_own(est, u, y):
     eta0 = Hyperparameters(stats.ybar / (stats.nbar * est.n), BETA0)
     rep, _ = opt_until_convergence(MLContext(stats, sigma2), eta0, "sgp", est.config)
     active = (0,) if est.lambda_only else (0, 1)
-    est._stats, est._eta, est._sigma2, est._batch_index = stats, rep.eta_new, sigma2, 0
+    est._stats, est._eta, est._batch_index = stats, rep.eta_new, 0
     est._opt_state = OptimizerState(
         eta_prev=rep.state.eta_prev,
         grad_prev=tuple(rep.state.grad_prev[i] for i in active),
-        tau=est.config.tau0,
+        tau=TAU0,
         active=active,
     )
 

@@ -76,7 +76,7 @@ def test_criterion_2_gradient_matches_finite_differences():
         n = int(rng.integers(2, 9))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 10, 61)))
         eta = random_eta(rng)
-        grad, _, _ = _grad_at(ctx, eta, (0, 1), CFG)
+        grad, _, _ = _grad_at(ctx, eta, (0, 1))
         fd_lam = central_diff(
             lambda x: _value(ctx, _factorize(ctx, Hyperparameters(x, eta.beta))), eta.lam, 1e-6 * eta.lam
         )
@@ -142,7 +142,7 @@ def test_criterion_5_em_step_never_increases_objective():
     for _ in range(50):
         n = int(rng.integers(2, 11))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 10, 101)))
-        rep = em_step(ctx, random_eta(rng), "em", CFG)
+        rep = em_step(ctx, random_eta(rng), "em")
         worst = max(worst, (rep.ml_after - rep.ml_before) / (1.0 + abs(rep.ml_before)))
     ok = worst <= 1e-10
     _verdict(5, ok, f"50 instances, worst rel increase {worst:.2e} (<=1e-10)")
@@ -178,13 +178,13 @@ def test_criterion_6_secant_feasibility_and_armijo_suites():
         eta0 = random_eta(rng)
         for method in ("bb", "sgp", "bfgs"):
             eta = eta0
-            state = fresh_state(ctx, eta, CFG)
+            state = fresh_state(ctx, eta)
             for _ in range(12):
                 rep = gradient_step(ctx, state, eta, method, CFG)
                 all_feasible &= rep.eta_new.lam >= 0.0 and 0.0 <= rep.eta_new.beta <= 1.0
                 feasible_cases += 1
                 if rep.gamma > 0.0:
-                    grad_act, _, _ = _grad_at(ctx, eta, (0, 1), CFG)
+                    grad_act, _, _ = _grad_at(ctx, eta, (0, 1))
                     moved = eta_array(rep.eta_new) - eta_array(eta)
                     slack = rep.ml_after - rep.ml_before - CFG.armijo_c * float(grad_act @ moved)
                     worst_armijo = max(worst_armijo, slack / (1.0 + abs(rep.ml_before)))
@@ -193,7 +193,7 @@ def test_criterion_6_secant_feasibility_and_armijo_suites():
         for method in ("em", "em1", "em2"):
             eta = eta0
             for _ in range(4):
-                rep = em_step(ctx, eta, method, CFG)
+                rep = em_step(ctx, eta, method)
                 all_feasible &= rep.eta_new.lam >= 0.0 and 0.0 <= rep.eta_new.beta <= 1.0
                 feasible_cases += 1
                 eta = rep.eta_new

@@ -332,6 +332,10 @@ def test_stream_length_sets_n_total(tmp_path):
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["single", "--methods", "warp", "--out", str(tmp_path)]) == 2
     assert "warp" in capsys.readouterr().err
+    # a repeated batch size would write its rows twice under one run_id
+    repeated = ["--n", "20", "--n-total", "120", "--n-warmup", "60", "--nk-sweep", "30,30"]
+    assert cli.main(["single", *repeated, "--methods", "sgp", "--out", str(tmp_path)]) == 2
+    assert "more than once: 30" in capsys.readouterr().err
     assert cli.main(["single", "--nk-sweep", ",", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "single_trace.csv").exists()
     assert cli.main(["single", "--seed", "-1", "--out", str(tmp_path)]) == 2

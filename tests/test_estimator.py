@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bayesfir import Hyperparameters, OnlineEstimator
-from bayesfir import cli, estimator, likelihood, optim, stats
+from bayesfir import cli, likelihood, optim, stats
 from bayesfir.likelihood import MLContext, _factorize, _mean
 from bayesfir.optim import OptimizerConfig, _interior
 from bayesfir.simgen import bandlimited_input, random_system, simulate_io
@@ -37,6 +37,14 @@ def test_constructor_validation():
         OnlineEstimator(8, mode="batch")
     with pytest.raises(ValueError):
         OnlineEstimator(8, method="em", lambda_only=True)
+    # n is an integer >= 1: no silent truncation of 2.5 or True, and no
+    # n = 0 that fails only once the warmup runs
+    for bad, error in ((2.5, TypeError), (True, TypeError), (0, ValueError), (-3, ValueError)):
+        with pytest.raises(error):
+            OnlineEstimator(bad)
+    for good in (1, 8, np.int64(8), np.int32(3)):
+        est = OnlineEstimator(good)
+        assert est.n == good and type(est.n) is int
 
 
 def test_em2_batch_from_zero_eta_stays_at_zero():
@@ -129,7 +137,7 @@ def test_snapshot_matches_posterior_at_committed_state():
     u, y, _ = make_stream(2, 160)
     est = OnlineEstimator(8, method="bb")
     snaps = run_stream(est, u, y, warm=70, nk=15)
-    ctx = MLContext(est._stats, est._sigma2)
+    ctx = MLContext(est._stats, snaps[-1].sigma2)
     np.testing.assert_allclose(
         snaps[-1].h, _mean(_factorize(ctx, est._eta)), rtol=1e-10, atol=1e-12
     )
@@ -150,7 +158,7 @@ def test_pure_noise_warmup_shrinks_hard():
     est = OnlineEstimator(10)
     est.initialize(u, y)
     h_ls, _ = dense_least_squares(u, y, 10)
-    ctx = MLContext(est._stats, est._sigma2)
+    ctx = MLContext(est._stats, noise_variance(est._stats))
     h_bayes = _mean(_factorize(ctx, est._eta))
     assert np.linalg.norm(h_bayes) < 0.5 * np.linalg.norm(h_ls)
 
@@ -235,7 +243,6 @@ def test_one_factorization_per_batch_and_eta(monkeypatch):
         return steps[-1][1]
 
     monkeypatch.setattr(likelihood, "_factorize", counting_factorize)
-    monkeypatch.setattr(estimator, "gradient_step", recording_step)
     monkeypatch.setattr(optim, "gradient_step", recording_step)
     cfg = OptimizerConfig()
 
@@ -246,7 +253,7 @@ def test_one_factorization_per_batch_and_eta(monkeypatch):
             candidates = cfg.max_backtracks + 1
         else:  # ascent direction: no line search at all
             candidates = 0
-        return (1 if _interior(eta, cfg) == eta else 2) + candidates
+        return (1 if _interior(eta) == eta else 2) + candidates
 
     for n, method, lambda_only, mode in (
         (80, "bb", False, "onestep"), (80, "sgp", False, "onestep"),
@@ -340,9 +347,8 @@ def test_lapack_calls_per_batch(monkeypatch):
         reports.append((eta, real_em(ctx, eta, *args)))
         return reports[-1][1]
 
-    monkeypatch.setattr(estimator, "gradient_step", recording_step)
-    monkeypatch.setattr(estimator, "em_step", recording_em)
-    cfg = OptimizerConfig()
+    monkeypatch.setattr(optim, "gradient_step", recording_step)
+    monkeypatch.setattr(optim, "em_step", recording_em)
     n, warm, nk = 80, 100, 10
     rng = np.random.default_rng(3)
     system = random_system(rng, n)
@@ -370,7 +376,7 @@ def test_lapack_calls_per_batch(monkeypatch):
             if method.startswith("em"):
                 want = 1 if rep.gamma == 0.0 else 2
             elif rep.gamma > 0.0:
-                want = 1 + rep.backtracks + 1 + (_interior(eta, cfg) != eta)
+                want = 1 + rep.backtracks + 1 + (_interior(eta) != eta)
                 accepted += 1
             else:
                 continue  # null steps are covered by test_one_factorization_per_batch_and_eta

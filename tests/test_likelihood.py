@@ -110,7 +110,7 @@ def test_gradient_split_signs_and_sum():
         v, u = _split(ctx, f)
         assert np.all(np.greater(v, 0.0))
         assert np.all(np.greater_equal(u, 0.0))
-        grad, v_act, _ = _grad_at(ctx, eta, (0, 1), CFG)
+        grad, v_act, _ = _grad_at(ctx, eta, (0, 1))
         np.testing.assert_array_equal(grad, np.subtract(v, u))
         np.testing.assert_array_equal(v_act, v)
         v_lam, u_lam = _lambda_split(ctx, f)
@@ -179,23 +179,23 @@ def test_overflowing_eta_raises_non_finite_everywhere():
         _factorize(ctx, eta)
     for active in ((0,), (0, 1)):
         with pytest.raises(NonFiniteLikelihoodError):
-            _grad_at(ctx, eta, active, CFG)
+            _grad_at(ctx, eta, active)
     for method in ("em", "em1", "em2"):
         with pytest.raises(NonFiniteLikelihoodError):
-            em_step(ctx, eta, method, CFG)
+            em_step(ctx, eta, method)
 
 
 def test_gradient_step_skips_overflowing_candidates():
     ctx = overflow_context()
     eta0 = Hyperparameters(1e-6, 0.9)
-    (grad,), _, _ = _grad_at(ctx, eta0, (0,), CFG)
+    (grad,), _, _ = _grad_at(ctx, eta0, (0,))
     assert grad < 0.0
     # a fixed step length that sends the first candidate to lam ~ 1e300
     alpha = 1e300 / -grad
     cfg = OptimizerConfig(alpha_min=alpha, alpha_max=alpha)
     with pytest.raises(NonFiniteLikelihoodError):
         value_at(ctx, Hyperparameters(eta0.lam - alpha * grad, eta0.beta))
-    state = fresh_state(ctx, eta0, cfg, lambda_only=True)
+    state = fresh_state(ctx, eta0, lambda_only=True)
     rep = gradient_step(ctx, state, eta0, "bb", cfg)
     assert rep.backtracks >= 1
     assert np.isfinite(rep.ml_before) and np.isfinite(rep.ml_after)

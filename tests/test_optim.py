@@ -11,6 +11,10 @@ from bayesfir import likelihood
 from bayesfir.kernel import Hyperparameters
 from bayesfir.likelihood import MLContext, _factorize, _lambda_split, _mean, _moment_bands, _value
 from bayesfir.optim import (
+    BETA_EPS,
+    D_MAX,
+    D_MIN,
+    EM_BETA_TOL,
     OptimizerConfig,
     OptimizerState,
     _em_profile,
@@ -116,10 +120,10 @@ def test_bb_stepsize_metric_rules():
 
 
 def test_sgp_scaling_clamps():
-    d = sgp_scaling(np.array([1.0, 1e-30]), np.array([1.0, 1.0]), CFG)
-    np.testing.assert_array_equal(d, [1.0, CFG.d_min])
-    d = sgp_scaling(np.array([1.0]), np.array([0.0]), CFG)
-    np.testing.assert_array_equal(d, [CFG.d_max])
+    d = sgp_scaling(np.array([1.0, 1e-30]), np.array([1.0, 1.0]))
+    np.testing.assert_array_equal(d, [1.0, D_MIN])
+    d = sgp_scaling(np.array([1.0]), np.array([0.0]))
+    np.testing.assert_array_equal(d, [D_MAX])
 
 
 def test_bfgs_update_secant_and_skip():
@@ -148,13 +152,13 @@ def test_gradient_step_decreases_objective():
         ctx, _, _ = random_instance(rng, 5, 40)
         star = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 5), 0.9))[0].eta_new
         eta0 = Hyperparameters(star.lam * 3.0, min(star.beta + 0.05, 0.99))
-        state = fresh_state(ctx, eta0, CFG)
+        state = fresh_state(ctx, eta0)
         seed = (np.array(state.eta_prev), np.array(state.grad_prev), state.tau, np.array(state.b_prev))
         rep = gradient_step(ctx, state, eta0, method, CFG)
         assert rep.gamma > 0.0
         assert rep.ml_after < rep.ml_before
         # Armijo inequality, recomputed from scratch
-        grad_act, _, _ = _grad_at(ctx, eta0, (0, 1), CFG)
+        grad_act, _, _ = _grad_at(ctx, eta0, (0, 1))
         moved = eta_array(rep.eta_new) - eta_array(eta0)
         bound = rep.ml_before + CFG.armijo_c * float(grad_act @ moved)
         assert rep.ml_after <= bound + 1e-10 * (1.0 + abs(rep.ml_before))
@@ -168,7 +172,7 @@ def test_gradient_step_decreases_objective():
 
 def test_gradient_step_rejects_unknown_method():
     ctx, _, _ = random_instance(np.random.default_rng(0), 3, 20)
-    state = fresh_state(ctx, Hyperparameters(1.0, 0.5), CFG)
+    state = fresh_state(ctx, Hyperparameters(1.0, 0.5))
     with pytest.raises(ValueError):
         gradient_step(ctx, state, Hyperparameters(1.0, 0.5), "em", CFG)
 
@@ -181,7 +185,7 @@ def test_gradient_step_exhausted_line_search_leaves_eta():
     # Armijo with c = 1 demands the full linear-model decrease, which convex
     # curvature near the optimum denies for every step length.
     brutal = OptimizerConfig(armijo_c=1.0, alpha_min=1e7, alpha_max=1e7, max_backtracks=12)
-    state = fresh_state(ctx, eta0, brutal)
+    state = fresh_state(ctx, eta0)
     rep = gradient_step(ctx, state, eta0, "bb", brutal)
     assert rep.gamma == 0.0
     assert rep.eta_new is eta0
@@ -195,7 +199,7 @@ def test_bfgs_resets_curvature_after_failed_search():
     star = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 4), 0.9))[0].eta_new
     eta0 = Hyperparameters(star.lam * 1.05, star.beta)
     brutal = OptimizerConfig(armijo_c=1.0, alpha_min=1e7, alpha_max=1e7, max_backtracks=6)
-    state = replace(fresh_state(ctx, eta0, brutal), b_prev=np.array([[2.0, 0.1], [0.1, 3.0]]))
+    state = replace(fresh_state(ctx, eta0), b_prev=np.array([[2.0, 0.1], [0.1, 3.0]]))
     rep = gradient_step(ctx, state, eta0, "bfgs", brutal)
     assert rep.gamma == 0.0
     np.testing.assert_array_equal(rep.state.b_prev, np.eye(2))
@@ -267,7 +271,7 @@ def test_em_step_never_increases_objective():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 8, 40)))
-        rep = em_step(ctx, random_eta(rng), "em", CFG)
+        rep = em_step(ctx, random_eta(rng), "em")
         assert rep.ml_after <= rep.ml_before + 1e-10 * (1.0 + abs(rep.ml_before))
         assert 0.0 <= rep.eta_new.beta <= 1.0
         assert rep.eta_new.lam >= 0.0
@@ -275,7 +279,7 @@ def test_em_step_never_increases_objective():
 
 def test_em_step_degenerate_posterior_short_circuits():
     ctx, _, _ = random_instance(np.random.default_rng(31), 3, 20)
-    rep = em_step(ctx, Hyperparameters(0.0, 0.7), "em", CFG)
+    rep = em_step(ctx, Hyperparameters(0.0, 0.7), "em")
     assert rep.eta_new.lam == 0.0
     assert rep.eta_new.beta == 0.7
     assert rep.factors.eta == rep.eta_new
@@ -308,10 +312,10 @@ def test_em_beta_search_beats_a_dense_scan_and_golden_section(seed, n, decay):
         a *= rng.uniform(0.3, 0.99) ** np.arange(n)[:, None]
     m = a @ a.T
     _, objective, best_beta = _em_profile(np.diag(m).copy(), np.diag(m, 1).copy())
-    lo, hi = CFG.beta_eps, 1.0 - CFG.beta_eps
+    lo, hi = BETA_EPS, 1.0 - BETA_EPS
     grid = np.linspace(lo, hi, 10_000).tolist()
     scan = [objective(b) for b in grid]
-    beta = best_beta(lo, hi, CFG.em_beta_tol)
+    beta = best_beta()
     if n == 1:  # the profile is flat in beta, and there is nothing to search
         assert beta is None
         # log(M_11 / b) + log(b) = log(M_11), up to the rounding of terms of
@@ -325,7 +329,7 @@ def test_em_beta_search_beats_a_dense_scan_and_golden_section(seed, n, decay):
     assert lo <= beta <= hi
     assert got <= min(scan) + 1e-10 * abs(got)
     # at a shared minimum the two differ only by the rounding of objective
-    assert got <= golden_min(objective, lo, hi, CFG.em_beta_tol)[1] + 1e-14 * abs(got)
+    assert got <= golden_min(objective, lo, hi, EM_BETA_TOL)[1] + 1e-14 * abs(got)
 
 
 def test_em_profile_is_inf_where_the_kernel_inverse_does_not_exist():
@@ -370,7 +374,7 @@ def test_em_step_reports_the_factor_at_its_new_eta():
     ctx, _, _ = random_instance(np.random.default_rng(37), 4, 30)
     eta = Hyperparameters(0.5, 0.8)
     for method in ("em", "em1", "em2"):
-        rep = em_step(ctx, eta, method, CFG)
+        rep = em_step(ctx, eta, method)
         assert rep.factors.eta == rep.eta_new
         fresh = _factorize(ctx, rep.eta_new)
         np.testing.assert_array_equal(_mean(rep.factors), _mean(fresh))
@@ -424,7 +428,7 @@ def test_updater_outputs_stay_feasible():
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 6, 40)))
         for method in ("bb", "sgp", "bfgs"):
             eta = random_eta(rng, lam_scale=float(10.0 ** rng.uniform(-2, 2)))
-            state = fresh_state(ctx, eta, CFG)
+            state = fresh_state(ctx, eta)
             for _ in range(8):
                 rep = gradient_step(ctx, state, eta, method, CFG)
                 eta, state = rep.eta_new, rep.state

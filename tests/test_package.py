@@ -8,13 +8,17 @@ than ``__init__.py``, so an import or a re-export alone does not count.
 Members are the methods and properties of the package's classes, dunders
 aside; each must be read as an attribute in such a module.  Dataclass and
 NamedTuple fields are data, which callers outside the package may read, and
-are not checked.
+are not checked.  The exception is ``OptimizerConfig``: a field of it that
+no call in the package or its tests sets is a setting nobody varies, and
+belongs among the constants of ``optim``.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import bayesfir
+from bayesfir.optim import OptimizerConfig
 
 PACKAGE = Path(bayesfir.__file__).parent
 
@@ -159,3 +163,19 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         if not any(_passes(call, position, param) for call in calls.get(name, ()))
     )
     assert not unpassed, f"defaulted parameters no package call passes: {unpassed}"
+
+
+def _keywords_set(tree):
+    """Keyword names passed to OptimizerConfig(...) and replace(...) calls."""
+    for callee, call in _calls(tree):
+        if callee in ("OptimizerConfig", "replace"):
+            yield from (kw.arg for kw in call.keywords if kw.arg is not None)
+
+
+def test_every_optimizer_field_is_set_somewhere():
+    set_somewhere = set()
+    for folder in (PACKAGE, Path(__file__).parent):
+        for path in sorted(folder.glob("*.py")):
+            set_somewhere.update(_keywords_set(ast.parse(path.read_text())))
+    unset = sorted(f.name for f in fields(OptimizerConfig) if f.name not in set_somewhere)
+    assert not unset, f"OptimizerConfig fields no call in src/ or tests/ sets: {unset}"
