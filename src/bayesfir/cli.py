@@ -1,9 +1,10 @@
 """Command-line benchmark harness.
 
 Three commands share one flat key=value config (every key can also be set
-with a ``--key value`` flag).  The config holds the experiment protocol
-only; every run uses the defaults of ``optim.OptimizerConfig`` and the
-constants of ``optim``, and neither can be set here.
+with a ``--key value`` flag).  It holds the experiment protocol, whose
+defaults are ``simgen.ExperimentConfig``'s, and four keys only the CLI reads;
+every run uses the defaults of ``optim.OptimizerConfig`` and the constants of
+``optim``, and neither can be set here.
 
 * ``single``     one random system, a trace per method and per batch size.
 * ``montecarlo`` repeated runs with per-run RNG streams and a summary table.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -124,16 +125,19 @@ def _cast_mode(text: str) -> str:
     return text
 
 
+_PROTOCOL_CASTS = {
+    "n": int,
+    "n_total": int,
+    "n_warmup": int,
+    "n_k": int,
+    "snr": float,
+    "runs": int,
+    "seed": int,
+    "methods": _cast_methods,
+}
 CONFIG_SCHEMA = {
-    "n": (int, 80),
-    "n_total": (int, 5000),
-    "n_warmup": (int, 100),
-    "n_k": (int, 10),
+    **{f.name: (_PROTOCOL_CASTS[f.name], f.default) for f in fields(ExperimentConfig)},
     "nk_sweep": (_cast_int_list, (1, 10, 50)),
-    "snr": (float, 5.0),
-    "runs": (int, 200),
-    "seed": (int, 0),
-    "methods": (_cast_methods, ("bb", "sgp", "bfgs", "em", "em1", "em2", "opt")),
     "mode": (_cast_mode, "onestep"),
     "out": (str, "."),
     "workers": (int, 1),
@@ -192,16 +196,7 @@ def resolve_config(file_values: dict, overrides: dict) -> dict:
 
 def experiment_config(resolved: dict) -> ExperimentConfig:
     try:
-        return ExperimentConfig(
-            n=resolved["n"],
-            n_total=resolved["n_total"],
-            n_warmup=resolved["n_warmup"],
-            n_k=resolved["n_k"],
-            snr=resolved["snr"],
-            runs=resolved["runs"],
-            seed=resolved["seed"],
-            methods=resolved["methods"],
-        )
+        return ExperimentConfig(**{f.name: resolved[f.name] for f in fields(ExperimentConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -192,13 +192,13 @@ def sgp_scaling(eta_act, v_act) -> tuple:
 def bfgs_update(b_prev, r, w) -> tuple:
     """Direct BFGS update of the inverse-Hessian approximation B, as a tuple of rows.
 
-    Skips the update (returning b_prev) when the curvature r'w is not safely
-    positive, so B stays symmetric positive definite; otherwise the returned B
-    satisfies the secant equation B w = r exactly.  With M = I - rho r w',
-    rho = 1 / r'w, the update is B = rho r r' + M B_prev M'.
+    Skips the update (returning b_prev) unless the curvature r'w is shown to
+    be safely positive (a NaN bound shows nothing), so B stays symmetric
+    positive definite; otherwise the returned B satisfies the secant equation
+    B w = r exactly.  With M = I - rho r w', rho = 1 / r'w, B = rho r r' + M B_prev M'.
     """
     rw = _dot(r, w)
-    if rw <= 1e-12 * math.sqrt(_dot(r, r)) * math.sqrt(_dot(w, w)):
+    if not rw > 1e-12 * math.sqrt(_dot(r, r)) * math.sqrt(_dot(w, w)):
         return b_prev
     rho = 1.0 / rw
     dim = range(len(r))
@@ -320,7 +320,7 @@ def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
 
     with k = n - i, a polynomial of degree n - 1 whose coefficients are
     read off once.  lam_star is inf wherever the inverse does not exist or
-    overflows: beta = 0, beta = 1 for n >= 2, beta^n underflowing.
+    overflows (_inverse_scale): beta = 0, beta = 1 for n >= 2, beta^n underflowing.
     objective(beta) = n log lam* + log det K_b is the M-step objective
     profiled over lam, for 0 < beta < 1; it is inf wherever lam* is not
     finite and positive.
@@ -336,11 +336,8 @@ def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
     half = 0.5 * n * (n + 1)
 
     def lam_star(beta: float) -> float:
-        if n == 1:  # the inverse is the scalar 1 / beta
-            scale = beta
-        else:
-            scale = (1.0 - beta) * beta**n
-        if scale == 0.0 or not math.isfinite((1.0 + beta) / scale):
+        scale = _inverse_scale(beta, n)
+        if scale is None:
             return math.inf
         return float(coef @ beta**k) / (n * scale)
 
@@ -357,6 +354,14 @@ def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
     return lam_star, objective, best_beta
 
 
+def _inverse_scale(beta: float, n: int):
+    """Divisor (1 - beta) beta^n (n = 1: beta) of the unit kernel's inverse; None if that overflows."""
+    scale = beta if n == 1 else (1.0 - beta) * beta**n
+    if scale == 0.0 or not math.isfinite((1.0 + beta) / scale):
+        return None
+    return scale
+
+
 @functools.lru_cache(maxsize=8)
 def _beta_grid(n: int):
     """em's search grid on [BETA_EPS, 1 - BETA_EPS] for n taps, computed once per n.
@@ -371,9 +376,7 @@ def _beta_grid(n: int):
     beta = 1.0 / (1.0 + np.exp(-s))
     beta[0], beta[-1] = lo, hi
     powers = beta[:, None] ** np.arange(n, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        scale = (1.0 - beta) * beta**n
-        exists = (scale > 0.0) & np.isfinite((1.0 + beta) / scale)
+    exists = np.array([_inverse_scale(b, n) is not None for b in beta.tolist()])
     base = -0.5 * n * (n - 1) * np.log(beta) - np.log1p(-beta)
     for arr in (beta, powers, base, exists):
         arr.flags.writeable = False
@@ -448,9 +451,8 @@ def em_step(ctx: MLContext, eta: Hyperparameters, method: str) -> StepReport:
     minimizes the lam-profiled objective over beta (_best_beta), compared
     against the current beta so the evidence never degrades.  ``em1``
     (M = h h', the covariance dropped) and ``em2`` (M = P + h h') keep beta
-    frozen; where the kernel inverse does not exist (beta = 1, or beta^n
-    underflowing) there is no lam*, and they hold eta with gamma = 0.  The
-    M-step reads only M's main and first super diagonal
+    frozen; where _inverse_scale is None there is no lam*, and they hold eta
+    with gamma = 0.  The M-step reads only M's main and first super diagonal
     (likelihood._moment_bands, O(n^2) column sums from the factor at eta),
     and the report carries the factor at the new eta; both values are O(n)
     given their factors.
@@ -471,7 +473,7 @@ def em_step(ctx: MLContext, eta: Hyperparameters, method: str) -> StepReport:
         # kernel inverse is needed.
         eta_new = Hyperparameters(0.0, eta.beta)
     elif method == "em":
-        beta_cur = min(max(eta.beta, BETA_EPS), 1.0 - BETA_EPS)
+        beta_cur = _interior(eta).beta
         g_cur = objective(beta_cur)
         beta_new = best_beta()
         g_new = math.inf if beta_new is None else objective(beta_new)

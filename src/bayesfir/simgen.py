@@ -54,7 +54,7 @@ class TrueSystem:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark protocol knobs shared by the CLI commands.
+    """Benchmark protocol knobs shared by the CLI commands, and their defaults.
 
     ``methods`` holds CLI method tokens (cli.METHOD_TOKENS), each of which
     says whether it is lambda-only.  The optimizer's constants are not part

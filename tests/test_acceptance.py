@@ -3,16 +3,19 @@
 Every test prints a single ``CRITERION k: PASS/FAIL`` line (run with ``-s``
 to see all of them) and then asserts on the same condition, so a red run
 names exactly the guarantee that broke.  Criteria 8-10 share one Monte
-Carlo study fixture, and criterion 10 repeats its one-step streams twice;
-expect a few minutes of wall time for the module.
+Carlo study fixture, which feeds each run's estimators batch by batch in
+turn, and criterion 10 repeats its one-step streams twice through the CLI's
+token-by-token loop; expect a few minutes of wall time for the module.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bayesfir.cli import montecarlo_rows
+from bayesfir.cli import METHOD_TOKENS, montecarlo_rows, warm_start
+from bayesfir.estimator import OnlineEstimator
 from bayesfir.kernel import Hyperparameters
 from bayesfir.likelihood import _factorize, _lambda_split, _mean, _moment_bands, _value
 from bayesfir.optim import (
@@ -25,7 +28,7 @@ from bayesfir.optim import (
     gradient_step,
     opt_until_convergence,
 )
-from bayesfir.simgen import ExperimentConfig
+from bayesfir.simgen import ExperimentConfig, bandlimited_input, fit, random_system, simulate_io
 from bayesfir.stats import Batch, SufficientStats, ingest
 
 from oracles import (
@@ -43,6 +46,18 @@ from oracles import (
 CFG = OptimizerConfig()
 
 ONESTEP = ("bb", "sgp", "bfgs", "em", "em1", "em2", "bb_lambda", "sgp_lambda", "bfgs_lambda")
+
+# the benchmark study behind criteria 8-10
+STUDY = ExperimentConfig(
+    n=80,
+    n_total=2000,
+    n_warmup=100,
+    n_k=10,
+    snr=5.0,
+    runs=20,
+    seed=1,
+    methods=ONESTEP + ("opt", "opt_lambda"),
+)
 
 
 def _verdict(k, ok, detail):
@@ -254,27 +269,50 @@ def test_criterion_7_rank_one_update_and_batch_split_invariance():
     )
 
 
-def _study_rows(methods):
-    """Trace rows of the benchmark study, grouped token -> run -> batch rows."""
-    xcfg = ExperimentConfig(
-        n=80,
-        n_total=2000,
-        n_warmup=100,
-        n_k=10,
-        snr=5.0,
-        runs=20,
-        seed=1,
-        methods=methods,
-    )
+def _grouped(rows):
+    """Trace rows grouped token -> run -> batch rows."""
     grouped = {}
-    for row in montecarlo_rows(xcfg, OptimizerConfig(), mode="onestep", workers=1):
+    for row in rows:
         grouped.setdefault(row[1], {}).setdefault(row[0], []).append(row)
     return grouped
 
 
+def _interleaved_rows(xcfg):
+    """montecarlo_rows' trace rows, with each run's estimators fed batch by batch in turn.
+
+    Every token of a run then meets the same host conditions over the run's
+    wall time, so a load burst weighs on the opt and the one-step timings
+    alike; the work and every non-timing column are the CLI's.
+    """
+    rows = []
+    for run in range(xcfg.runs):
+        rng = np.random.default_rng(np.random.SeedSequence((xcfg.seed, run)))
+        system = random_system(rng, xcfg.n)
+        u = bandlimited_input(rng, xcfg.n_total)
+        y = simulate_io(system, u, xcfg.snr, rng)
+        warm = warm_start(u, y, xcfg, CFG)
+        ests = {}
+        for tok in xcfg.methods:
+            method, lam_only, mode = METHOD_TOKENS[tok]
+            ests[tok] = OnlineEstimator(xcfg.n, method=method, mode=mode, lambda_only=lam_only)
+            ests[tok].start(warm)
+        cumulative = dict.fromkeys(ests, 0.0)
+        for start in range(xcfg.n_warmup, xcfg.n_total, xcfg.n_k):
+            ub, yb = u[start : start + xcfg.n_k], y[start : start + xcfg.n_k]
+            for tok, est in ests.items():
+                snap = est.process_batch(ub, yb)
+                cumulative[tok] += snap.seconds
+                rows.append([
+                    run, tok, int(est.lambda_only), snap.batch_index, snap.nbar,
+                    fit(system.h_true, snap.h), snap.eta.lam, snap.eta.beta, snap.sigma2,
+                    snap.seconds, cumulative[tok],
+                ])
+    return rows
+
+
 @pytest.fixture(scope="module")
 def study():
-    return _study_rows(ONESTEP + ("opt", "opt_lambda"))
+    return _grouped(_interleaved_rows(STUDY))
 
 
 def _batch_seconds(grouped, tok):
@@ -293,7 +331,7 @@ def onestep_batch_seconds(study):
     """
     least = {tok: _batch_seconds(study, tok) for tok in ONESTEP}
     for _ in range(2):
-        repeat = _study_rows(ONESTEP)
+        repeat = _grouped(montecarlo_rows(replace(STUDY, methods=ONESTEP), CFG))
         for tok in ONESTEP:
             for run, rows in repeat[tok].items():
                 assert [r[:9] for r in rows] == [r[:9] for r in study[tok][run]], (tok, run)

@@ -1,5 +1,7 @@
 """Streaming estimator: initialization, batch updates, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,28 @@ def test_em2_batch_from_zero_eta_stays_at_zero():
     snap = est.process_batch(u[100:110], y[100:110])
     assert (snap.eta.lam, snap.eta.beta) == (0.0, 0.0)
     np.testing.assert_array_equal(snap.h, np.zeros(20))
+
+
+@pytest.mark.parametrize(
+    "lam, beta",
+    [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1e-300, 0.5), (1e300, 0.5), (1.0, 1e-300)],
+)
+def test_no_token_raises_from_a_boundary_eta(lam, beta):
+    # a well-formed finite batch never raises out of process_batch, whatever
+    # eta the stream starts from
+    rng = np.random.default_rng(np.random.SeedSequence((3, 0)))
+    system = random_system(rng, 20)
+    u = bandlimited_input(rng, 160)
+    y = simulate_io(system, u, 5.0, rng)
+    warm = replace(OnlineEstimator(20).initialize(u[:100], y[:100]), eta=Hyperparameters(lam, beta))
+    for token, (method, lambda_only, mode) in cli.METHOD_TOKENS.items():
+        est = OnlineEstimator(20, method=method, mode=mode, lambda_only=lambda_only)
+        est.start(warm)
+        for start in range(100, 160, 10):
+            try:
+                est.process_batch(u[start:start + 10], y[start:start + 10])
+            except Exception as exc:
+                pytest.fail(f"{token} batch at {start} raised {exc!r}")
 
 
 def test_start_from_a_shared_warmup_matches_own_initialize():

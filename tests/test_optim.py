@@ -144,6 +144,8 @@ def test_bfgs_update_secant_and_skip():
         assert np.all(np.linalg.eigvalsh(b) > 0.0)
     kept = bfgs_update(np.eye(2), np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     np.testing.assert_array_equal(kept, np.eye(2))
+    # r'r overflows against w = 0: the skip bound is inf * 0 = NaN
+    assert bfgs_update(((1.0,),), (1e200,), (0.0,)) == ((1.0,),)
 
 
 def test_gradient_step_decreases_objective():
