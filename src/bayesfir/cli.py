@@ -249,8 +249,6 @@ def run_methods(u, y, h_true, xcfg, warm, run_id, mode):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(float(value))  # numpy scalars repr as np.float64(...)
     return str(value)

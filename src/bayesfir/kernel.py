@@ -14,8 +14,9 @@ The kernel is never formed.  With U the upper-triangular all-ones matrix,
 
 and every c_m >= 0, so U diag(sqrt(lam * c)) is an exact square root on the
 whole closed box, boundary included (Chen & Ljung, Automatica 2013).  Its
-beta-derivative is closed-form too, and so is its exactly tridiagonal
-inverse, which the EM M-step reads (optim._em_profile).
+beta-derivative is closed-form too, and so is its inverse: wherever every
+c_m > 0, U^-T diag(1 / (lam * c)) U^-1, which is diagonal in the root's
+basis.  The EM M-step reads it there (optim._em_profile).
 """
 
 from __future__ import annotations

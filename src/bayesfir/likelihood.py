@@ -1,4 +1,4 @@
-"""Marginal likelihood, gradient split, posterior mean and second-moment bands.
+"""Marginal likelihood, gradient split, posterior mean and EM second moment.
 
 All four are functions of the sufficient statistics only, never of the raw
 N-sample data, so each evaluation costs O(n^3) regardless of how much data
@@ -19,6 +19,11 @@ which agrees exactly with the dense evaluation y' Sigma^-1 y + log det Sigma,
 Sigma = Phi K Phi' + sigma2 I.  The root is exact on the whole closed box, so
 the formula needs no fallback for semidefinite K (lam = 0 gives S = sigma I
 and the degenerate limit nbar log sigma2 + ybar / sigma2).
+
+The posterior is read in the same root basis.  Its mean is
+h = U (d * S^-T t), and the EM M-step reads the second moment M = P + h h'
+only through Z = diag(U^-1 M U^-T) (_root_moment), because in that basis
+the unit kernel's inverse is diagonal (kernel module docstring).
 
 There is one factorization per (batch, eta): ``_factorize`` builds S and t,
 together with log det S S' and ||t||^2, and the value (O(1) from those two
@@ -140,16 +145,6 @@ def _inverse(f: _Factors) -> np.ndarray:
     return sinv
 
 
-def _posterior_root(f: _Factors, sinv: np.ndarray) -> np.ndarray:
-    """W = S^-1 L' = S^-1 diag(d) U', so that the posterior covariance is sigma2 W'W.
-
-    Scaling the columns of S^-1 by d and multiplying by U' on the right is a
-    reversed cumulative sum along each row.
-    """
-    w = sinv * f.d
-    return np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-
-
 def _require_interior(eta: Hyperparameters) -> None:
     if eta.lam <= 0.0 or not 0.0 < eta.beta < 1.0:
         raise ValueError(
@@ -236,17 +231,15 @@ def _lambda_split(ctx: MLContext, f: _Factors) -> tuple:
     return v_lam, u_lam
 
 
-def _moment_bands(ctx: MLContext, f: _Factors):
-    """Main and first super diagonal of the posterior second moment M = P + h h'.
+def _root_moment(ctx: MLContext, f: _Factors) -> np.ndarray:
+    """Z = diag(U^-1 M U^-T) for the posterior second moment M = P + h h'.
 
-    With P = sigma2 W'W (see _posterior_root) the two bands are column sums
-    of W * W and of W[:, :-1] * W[:, 1:], so the n-by-n product W'W is never
-    formed; that is all an EM M-step against the tridiagonal kernel inverse
-    reads.
+    In the root basis the covariance is U^-1 P U^-T = sigma2 diag(d) S^-T S^-1 diag(d)
+    and the mean is U^-1 h = d * S^-T t (_root_mean), so
+    Z = sigma2 d^2 * colnorms^2(S^-1) + (d * S^-T t)^2, O(n^2) given S^-1.
     """
-    w = _posterior_root(f, _inverse(f))
-    h = _mean(f)
-    diag = ctx.sigma2 * np.einsum("ij,ij->j", w, w) + h * h
-    off = ctx.sigma2 * np.einsum("ij,ij->j", w[:, :-1], w[:, 1:]) + h[:-1] * h[1:]
-    return diag, off
-
+    sinv = _inverse(f)
+    z = np.einsum("ij,ij->j", sinv, sinv)
+    z *= ctx.sigma2 * (f.d * f.d)
+    z += _root_mean(f) ** 2
+    return z

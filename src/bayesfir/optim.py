@@ -37,8 +37,8 @@ from .likelihood import (
     MLContext,
     NonFiniteLikelihoodError,
     _lambda_split,
-    _mean,
-    _moment_bands,
+    _root_mean,
+    _root_moment,
     _split,
     _value,
 )
@@ -301,26 +301,20 @@ def gradient_step(
     )
 
 
-def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
-    """The M-step's closed form in beta from the two bands of the second moment M.
+def _em_profile(z: np.ndarray):
+    """The M-step's closed form in beta from Z = diag(U^-1 M U^-T), M the second moment.
 
     Returns (lam_star, objective, best_beta).  lam_star(beta) = Tr(K_b^-1 M) / n
     is the closed-form lam for fixed beta.  The unit kernel's inverse is
-    exactly tridiagonal,
+    U^-T diag(1 / c) U^-1 (kernel module docstring), so lam* = sum_m Z_m / c_m / n,
+    and for n >= 2
 
-        inv[1, 1] = 1 / (beta (1 - beta))           (1 / beta when n == 1)
-        inv[i, i] = (1 + beta) / (beta^i (1 - beta))   for 1 < i < n
-        inv[n, n] = 1 / (beta^n (1 - beta))
-        inv[i, i+1] = -1 / (beta^i (1 - beta)),
+        F(beta) = n (1 - beta) beta^n lam* = sum_(m<n) Z_m beta^(n-m) + Z_n (1 - beta),
 
-    so for n >= 2
-
-        lam* n (1 - beta) beta^n = F(beta) = sum_k beta^k (p_k + beta q_k),
-        p_k = M_ii - 2 M_i,i+1 (p_n = M_nn),  q_k = M_ii for 1 < i < n else 0,
-
-    with k = n - i, a polynomial of degree n - 1 whose coefficients are
-    read off once.  lam_star is inf wherever the inverse does not exist or
-    overflows (_inverse_scale): beta = 0, beta = 1 for n >= 2, beta^n underflowing.
+    a polynomial of degree n - 1 whose coefficients, Z reversed with Z_n
+    taken from the linear one, are read off once (n = 1: lam* = Z_1 / beta).
+    lam_star is inf wherever the inverse does not exist or overflows
+    (_inverse_scale): beta = 0, beta = 1 for n >= 2, beta^n underflowing.
     objective(beta) = n log lam* + log det K_b is the M-step objective
     profiled over lam, for 0 < beta < 1; it is inf wherever lam* is not
     finite and positive.
@@ -328,10 +322,9 @@ def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
     best_beta() minimizes the objective on [BETA_EPS, 1 - BETA_EPS] (see
     _best_beta); it returns None where there is nothing to search.
     """
-    n = m_diag.size
-    coef = m_diag[::-1].copy()  # F's coefficients, p_k + q_(k-1)
-    coef[1:] -= 2.0 * m_off[::-1]
-    coef[2:] += m_diag[-2:0:-1]
+    n = z.size
+    coef = z[::-1].copy()  # F's coefficients of beta^0 .. beta^(n-1)
+    coef[1:2] -= z[-1]  # the -Z_n beta term, absent for n = 1
     k = np.arange(n, dtype=float)
     half = 0.5 * n * (n + 1)
 
@@ -348,7 +341,7 @@ def _em_profile(m_diag: np.ndarray, m_off: np.ndarray):
         return n * math.log(lam) + half * math.log(beta) + (n - 1) * math.log1p(-beta)
 
     def best_beta():
-        # n = 1 leaves the objective flat in beta: log lam* + log beta = log M_11
+        # n = 1 leaves the objective flat in beta: log lam* + log beta = log Z_1
         return _best_beta(coef) if n > 1 else None
 
     return lam_star, objective, best_beta
@@ -452,22 +445,17 @@ def em_step(ctx: MLContext, eta: Hyperparameters, method: str) -> StepReport:
     against the current beta so the evidence never degrades.  ``em1``
     (M = h h', the covariance dropped) and ``em2`` (M = P + h h') keep beta
     frozen; where _inverse_scale is None there is no lam*, and they hold eta
-    with gamma = 0.  The M-step reads only M's main and first super diagonal
-    (likelihood._moment_bands, O(n^2) column sums from the factor at eta),
-    and the report carries the factor at the new eta; both values are O(n)
-    given their factors.
+    with gamma = 0.  The M-step reads M only through Z = diag(U^-1 M U^-T)
+    (likelihood._root_moment, O(n^2) given the factor at eta), and the
+    report carries the factor at the new eta; both values are O(n) given
+    their factors.
     """
     if method not in EM_METHODS:
         raise ValueError(f"unknown EM method {method!r}")
     f = likelihood._factorize(ctx, eta)
-    if method == "em1":
-        h = _mean(f)
-        m_diag, m_off = h * h, h[:-1] * h[1:]
-    else:
-        m_diag, m_off = _moment_bands(ctx, f)
-
-    lam_star, objective, best_beta = _em_profile(m_diag, m_off)
-    if float(m_diag.sum()) <= 0.0:
+    z = _root_mean(f) ** 2 if method == "em1" else _root_moment(ctx, f)
+    lam_star, objective, best_beta = _em_profile(z)
+    if float(z.sum()) <= 0.0:
         # Degenerate posterior (lam already 0, or a zero kernel at beta = 0):
         # the M-step sends lam to the boundary, and neither beta nor the
         # kernel inverse is needed.

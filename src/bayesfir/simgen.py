@@ -77,7 +77,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"n_total={self.n_total} must exceed n_warmup={self.n_warmup}"
             )
-        if self.snr <= 0:
+        if not self.snr > 0:  # NaN fails this test too
             raise ValueError(f"snr must be > 0, got {self.snr}")
         object.__setattr__(self, "methods", tuple(self.methods))
 

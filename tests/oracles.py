@@ -122,6 +122,18 @@ def dense_posterior(ctx, eta):
     return mean, cov
 
 
+def root_diagonal(m):
+    """diag(U^-1 m U^-T), U the upper-triangular all-ones matrix, by numpy.linalg.inv."""
+    uinv = np.linalg.inv(np.triu(np.ones(m.shape)))
+    return np.diag(uinv @ m @ uinv.T).copy()
+
+
+def dense_root_moment(ctx, eta):
+    """diag(U^-1 (P + h h') U^-T) from dense_posterior's mean h and covariance P."""
+    mean, cov = dense_posterior(ctx, eta)
+    return root_diagonal(cov + np.outer(mean, mean))
+
+
 def impulse_from_transfer(b, a, n):
     """First n impulse-response taps of b(q)/a(q) by polynomial long division."""
     b = np.asarray(b, dtype=float)

@@ -17,7 +17,7 @@ import pytest
 from bayesfir.cli import METHOD_TOKENS, montecarlo_rows, warm_start
 from bayesfir.estimator import OnlineEstimator
 from bayesfir.kernel import Hyperparameters
-from bayesfir.likelihood import _factorize, _lambda_split, _mean, _moment_bands, _value
+from bayesfir.likelihood import _factorize, _lambda_split, _root_mean, _root_moment, _value
 from bayesfir.optim import (
     OptimizerConfig,
     _em_profile,
@@ -133,11 +133,10 @@ def test_criterion_4_posterior_trace_matches_logdet_derivative():
         ctx, _, _ = random_instance(rng, n, n * 10 + 20)
         rep, _ = opt_until_convergence(ctx, Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * n), 0.9))
         eta = rep.eta_new
-        # the bands of P = M - h h' from the second moment M that EM reads,
-        # and Tr(K_1^-1 P) = n lam*(beta) from EM's closed form
-        m_diag, m_off = _moment_bands(ctx, rep.factors)
-        h = _mean(rep.factors)
-        lam_star, _, _ = _em_profile(m_diag - h * h, m_off - h[:-1] * h[1:])
+        # diag(U^-1 P U^-T) for P = M - h h', from the second moment M that
+        # EM reads, and Tr(K_1^-1 P) = n lam*(beta) from EM's closed form
+        p_root = _root_moment(ctx, rep.factors) - _root_mean(rep.factors) ** 2
+        lam_star, _, _ = _em_profile(p_root)
         z = n * lam_star(eta.beta)
         kinv = np.linalg.inv(dense_tc_kernel(n, 1.0, eta.beta))
         a = 1.0 / eta.lam

@@ -343,6 +343,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["single", "--nk-sweep", "5,0", "--out", str(tmp_path)]) == 2
     assert cli.main(["montecarlo", "--workers", "0", "--out", str(tmp_path)]) == 2
     assert cli.main(["single", "--config", str(tmp_path / "absent.cfg")]) == 2
+    capsys.readouterr()
+    # NaN compares false with everything, so it must not slip past "snr <= 0";
+    # inf is noise-free data and stays valid
+    tiny = ["--n", "20", "--n-total", "120", "--n-warmup", "60", "--runs", "1", "--methods", "sgp"]
+    assert cli.main(["montecarlo", *tiny, "--snr", "nan", "--out", str(tmp_path)]) == 2
+    assert "snr" in capsys.readouterr().err
+    assert cli.main(["montecarlo", *tiny, "--snr", "inf", "--out", str(tmp_path)]) == 0
 
 
 def test_runtime_failures_exit_3(tmp_path, monkeypatch, capsys):

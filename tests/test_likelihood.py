@@ -1,4 +1,4 @@
-"""Marginal-likelihood value, gradient split, posterior mean and second-moment bands."""
+"""Marginal-likelihood value, gradient split, posterior mean and EM second moment."""
 
 import time
 
@@ -13,14 +13,22 @@ from bayesfir.likelihood import (
     _factorize,
     _lambda_split,
     _mean,
-    _moment_bands,
+    _root_moment,
     _split,
     _value,
 )
 from bayesfir.optim import OptimizerConfig, _grad_at, em_step, fresh_state, gradient_step
 from bayesfir.stats import Batch, SufficientStats, ingest, noise_variance
 
-from oracles import dense_neg_log_ml, dense_posterior, eta_array, random_eta, random_instance
+from oracles import (
+    dense_neg_log_ml,
+    dense_posterior,
+    dense_root_moment,
+    eta_array,
+    random_eta,
+    random_instance,
+    stats_from_moments,
+)
 
 CFG = OptimizerConfig()
 
@@ -157,6 +165,16 @@ def test_overflowing_kernel_reports_non_finite():
         value_at(ctx, Hyperparameters(1e308, 0.9))
 
 
+def test_singular_inner_matrix_raises_from_dpotrf():
+    # a rank-one R makes (d d') * C rank-one, and the least positive sigma2
+    # is lost in rounding next to it, so dpotrf meets a non-positive pivot
+    # on finite input
+    ones = np.ones(4)
+    stats = stats_from_moments(4, np.outer(ones, ones), np.zeros(4), 1.0, 10, np.zeros(0))
+    with pytest.raises(NonFiniteLikelihoodError, match="dpotrf"):
+        _factorize(MLContext(stats, 5e-324), Hyperparameters(1.0, 0.5))
+
+
 def overflow_context():
     """An n=6 stream scaled up so that (d d') * C overflows at lam = 1e300."""
     rng = np.random.default_rng(29)
@@ -207,9 +225,7 @@ def test_posterior_scalar_example():
     ctx = scalar_context()
     f = _factorize(ctx, Hyperparameters(1.0, 1.0))
     np.testing.assert_allclose(_mean(f), [0.5])
-    diag, off = _moment_bands(ctx, f)
-    np.testing.assert_allclose(diag, [0.75])
-    assert off.shape == (0,)
+    np.testing.assert_allclose(_root_moment(ctx, f), [0.75])
 
 
 def test_posterior_matches_direct_solve():
@@ -218,13 +234,12 @@ def test_posterior_matches_direct_solve():
         n = int(rng.integers(2, 7))
         ctx, _, _ = random_instance(rng, n, int(rng.integers(n + 8, 40)))
         eta = random_eta(rng)
-        mean, cov = dense_posterior(ctx, eta)
+        mean, _ = dense_posterior(ctx, eta)
         np.testing.assert_allclose(mean_at(ctx, eta), mean, rtol=1e-8, atol=1e-10)
-        # the two bands of the second moment M = P + h h' are all EM reads of P
-        second = cov + np.outer(mean, mean)
-        diag, off = _moment_bands(ctx, _factorize(ctx, eta))
-        np.testing.assert_allclose(diag, np.diag(second), rtol=1e-7, atol=1e-10)
-        np.testing.assert_allclose(off, np.diag(second, 1), rtol=1e-7, atol=1e-10)
+        # the diagonal of the second moment M = P + h h' in the kernel root's
+        # basis is all EM reads of it
+        z = _root_moment(ctx, _factorize(ctx, eta))
+        np.testing.assert_allclose(z, dense_root_moment(ctx, eta), rtol=1e-7, atol=1e-10)
 
 
 def test_posterior_degenerate_and_dominated_cases():
@@ -232,9 +247,7 @@ def test_posterior_degenerate_and_dominated_cases():
     ctx, _, _ = random_instance(rng, 4, 30)
     degenerate = Hyperparameters(0.0, 0.5)
     np.testing.assert_array_equal(mean_at(ctx, degenerate), np.zeros(4))
-    diag, off = _moment_bands(ctx, _factorize(ctx, degenerate))
-    np.testing.assert_array_equal(diag, np.zeros(4))
-    np.testing.assert_array_equal(off, np.zeros(3))
+    np.testing.assert_array_equal(_root_moment(ctx, _factorize(ctx, degenerate)), np.zeros(4))
     # enormous noise floor shrinks the estimate toward the prior mean
     loud = MLContext(ctx.stats, 1e9 * ctx.sigma2)
     shrunk = mean_at(loud, Hyperparameters(1.0, 0.7))

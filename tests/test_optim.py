@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bayesfir import likelihood
 from bayesfir.kernel import Hyperparameters
-from bayesfir.likelihood import MLContext, _factorize, _lambda_split, _mean, _moment_bands, _value
+from bayesfir.likelihood import MLContext, _factorize, _lambda_split, _mean, _value
 from bayesfir.optim import (
     BETA_EPS,
     D_MAX,
@@ -30,10 +30,13 @@ from bayesfir.optim import (
 )
 
 from oracles import (
+    dense_posterior,
+    dense_tc_kernel,
     eta_array,
     golden_min,
     random_eta,
     random_instance,
+    root_diagonal,
     stats_from_moments,
     unit_kernel_inverse_bands,
     unit_kernel_logdet,
@@ -291,16 +294,49 @@ def test_em_profile_matches_banded_form():
     rng = np.random.default_rng(59)
     n = 80
     ctx, _, _ = random_instance(rng, n, 400)
-    diag, off = _moment_bands(ctx, _factorize(ctx, Hyperparameters(1.0, 0.9)))
-    lam_star, objective, _ = _em_profile(diag, off)
+    # a posterior second moment M, read by the polynomial through
+    # diag(U^-1 M U^-T) and by the tridiagonal inverse through its two bands
+    mean, cov = dense_posterior(ctx, Hyperparameters(1.0, 0.9))
+    m = cov + np.outer(mean, mean)
+    lam_star, objective, _ = _em_profile(root_diagonal(m))
     for beta in (1e-3, 0.01, 0.5, 0.9, 1.0 - 1e-6):
         d, e = unit_kernel_inverse_bands(n, beta)
-        lam = (float(d @ diag) + 2.0 * float(e @ off)) / n
+        lam = (float(d @ np.diag(m)) + 2.0 * float(e @ np.diag(m, 1))) / n
         want = n * np.log(lam) + unit_kernel_logdet(n, beta)
         assert abs(objective(beta) - want) <= 1e-12 * abs(want), beta
         assert abs(lam_star(beta) - lam) <= 1e-12 * lam, beta
     # beta**80 underflows: the inverse does not exist and the profile is inf
     assert lam_star(1e-5) == np.inf and objective(1e-5) == np.inf
+
+
+def test_em_steps_match_a_dense_m_step():
+    # lam* = Tr(K_b^-1 M) / n from numpy.linalg, with M = P + h h' from the
+    # dense posterior for em and em2 and M = h h' for em1
+    rng = np.random.default_rng(67)
+
+    def dense_profile(m, beta):
+        n = m.shape[0]
+        kernel = dense_tc_kernel(n, 1.0, beta)
+        lam = np.trace(np.linalg.solve(kernel, m)) / n
+        return lam, n * np.log(lam) + np.linalg.slogdet(kernel)[1]
+
+    for n in range(1, 9):
+        for _ in range(3):
+            ctx, _, _ = random_instance(rng, n, 10 * n + 20)
+            eta = random_eta(rng)
+            mean, cov = dense_posterior(ctx, eta)
+            second = cov + np.outer(mean, mean)
+            for method, m in (("em1", np.outer(mean, mean)), ("em2", second)):
+                want, _ = dense_profile(m, eta.beta)
+                got = em_step(ctx, eta, method).eta_new.lam
+                assert abs(got - want) <= 1e-8 * want, (n, method)
+            # em's beta is no worse than the current one on the dense profile,
+            # and its lam is lam* there
+            rep = em_step(ctx, eta, "em")
+            lam_new, g_new = dense_profile(second, rep.eta_new.beta)
+            _, g_cur = dense_profile(second, eta.beta)
+            assert g_new <= g_cur + 1e-10 * abs(g_cur), n
+            assert abs(rep.eta_new.lam - lam_new) <= 1e-8 * lam_new, n
 
 
 @settings(deadline=None, max_examples=100)
@@ -313,7 +349,7 @@ def test_em_beta_search_beats_a_dense_scan_and_golden_section(seed, n, decay):
     if decay:
         a *= rng.uniform(0.3, 0.99) ** np.arange(n)[:, None]
     m = a @ a.T
-    _, objective, best_beta = _em_profile(np.diag(m).copy(), np.diag(m, 1).copy())
+    _, objective, best_beta = _em_profile(root_diagonal(m))
     lo, hi = BETA_EPS, 1.0 - BETA_EPS
     grid = np.linspace(lo, hi, 10_000).tolist()
     scan = [objective(b) for b in grid]
@@ -335,15 +371,14 @@ def test_em_beta_search_beats_a_dense_scan_and_golden_section(seed, n, decay):
 
 
 def test_em_profile_is_inf_where_the_kernel_inverse_does_not_exist():
-    ones = np.ones(3)
-    lam_star, _, _ = _em_profile(ones, ones[:-1])
+    lam_star, _, _ = _em_profile(np.ones(3))
     assert lam_star(0.0) == np.inf  # zero kernel
     assert lam_star(1.0) == np.inf  # rank-one kernel
     assert lam_star(0.5) > 0.0
-    lam_star, _, _ = _em_profile(np.ones(1), np.zeros(0))
+    lam_star, _, _ = _em_profile(np.ones(1))
     assert lam_star(0.0) == np.inf
     assert lam_star(1.0) == 1.0  # the n = 1 kernel is beta itself
-    lam_star, _, _ = _em_profile(np.ones(1040), np.zeros(1039))
+    lam_star, _, _ = _em_profile(np.ones(1040))
     assert lam_star(0.5) == np.inf  # 0.5**1040 is subnormal and the inverse overflows
 
 

@@ -10,7 +10,9 @@ aside; each must be read as an attribute in such a module.  Dataclass and
 NamedTuple fields are data, which callers outside the package may read, and
 are not checked.  The exception is ``OptimizerConfig``: a field of it that
 no call in the package or its tests sets is a setting nobody varies, and
-belongs among the constants of ``optim``.
+belongs among the constants of ``optim``.  And every name a module
+other than ``__init__.py``, whose imports are its re-exports, imports is
+read in that module, as a linter's unused-import check would demand.
 """
 
 import ast
@@ -95,6 +97,28 @@ def test_every_member_is_read_in_the_package():
         if name not in read and not _is_dunder(name)
     )
     assert not unread, f"methods or properties no package module reads: {unread}"
+
+
+def _imported(tree):
+    """Names the module's import statements bind, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_import_is_read_in_its_module():
+    unread = []
+    for module, tree in _modules():
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{module}:{name}" for name in _imported(tree) if name not in read]
+    assert not unread, f"imported but never read: {sorted(unread)}"
 
 
 # entry points called from outside the package, with their defaulted parameters
