@@ -1,4 +1,4 @@
-"""The three LAPACK wrappers the package calls, from scipy's ``_flapack`` extension.
+"""The four LAPACK wrappers the package calls, from scipy's ``_flapack`` extension.
 
 Importing ``scipy.linalg.lapack`` runs ``scipy.linalg``'s package init, which
 loads scipy's array-API layer and with it much of numpy's namespace, about
@@ -46,3 +46,4 @@ _flapack = _load_flapack()
 dpotrf = _flapack.dpotrf
 dtrtrs = _flapack.dtrtrs
 dtrtri = _flapack.dtrtri
+dsyevd = _flapack.dsyevd

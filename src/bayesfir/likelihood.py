@@ -25,6 +25,18 @@ h = U (d * S^-T t), and the EM M-step reads the second moment M = P + h h'
 only through Z = diag(U^-1 M U^-T) (_root_moment), because in that basis
 the unit kernel's inverse is diagonal (kernel module docstring).
 
+Along lam at one frozen beta the inner matrix is the one-parameter family
+A(lam) = sigma2 I + lam M, M = diag(d0) C diag(d0), d0 = sqrt(c(beta)).
+``_FrozenBeta`` eigendecomposes M = Q diag(mu) Q' once and keeps
+b = Q' (d0 * cum_y); then at any lam, with delta = sigma2 + lam mu,
+
+    log det A = sum log delta,    ||t||^2 = lam sum b^2 / delta,
+    V_lam = sum mu / delta,       U_lam = sum b^2 / delta^2,
+
+each O(n) and free of subtraction.  One eigendecomposition costs some 28
+Cholesky factorizations at n = 80, so it pays only where many lam are
+visited at one beta: a lam-only run of ``optim.opt_until_convergence``.
+
 There is one factorization per (batch, eta): ``_factorize`` builds S and t,
 together with log det S S' and ||t||^2, and the value (O(1) from those two
 numbers), the gradient, the posterior mean and the EM second moment are all
@@ -34,7 +46,7 @@ the factor at its new eta (the accepted line-search candidate, or the EM
 update), from which the estimator forms its posterior mean, so a batch never
 factors the same matrix twice.  This module has no eta-level wrappers;
 callers factor once and read what they need.  LAPACK is called directly
-through scipy's Fortran wrappers dpotrf, dtrtrs and dtrtri, which
+through scipy's Fortran wrappers dpotrf, dtrtrs, dtrtri and dsyevd, which
 ``_lapack`` loads without scipy.linalg's package.  A finiteness check on
 the factor's log determinant and ||t||^2 stands in for scipy's input
 validation, and each n-by-n temporary is built once: the factor keeps
@@ -116,8 +128,11 @@ def _factorize(ctx: MLContext, eta: Hyperparameters) -> _Factors:
     return _Factors(eta, d, dc, s, t, logdet, tt)
 
 
-def _value(ctx: MLContext, f: _Factors) -> float:
-    """Negative log marginal likelihood at f.eta, O(1) given the factor."""
+def _value(ctx: MLContext, f) -> float:
+    """Negative log marginal likelihood at f.eta, O(1) given f.logdet and f.tt.
+
+    f is a Cholesky factor (_Factors) or a frozen-beta evaluation (_Spectral).
+    """
     stats = ctx.stats
     val = (stats.nbar - stats.n) * math.log(ctx.sigma2) + f.logdet + (stats.ybar - f.tt) / ctx.sigma2
     if not math.isfinite(val):
@@ -220,7 +235,8 @@ def _split(ctx: MLContext, f: _Factors) -> tuple:
 def _lambda_split(ctx: MLContext, f: _Factors) -> tuple:
     """(V_lam, U_lam) at an interior f.eta without the beta machinery.
 
-    The cheap path for frozen beta.
+    The frozen-beta gradient on a Cholesky factor, for one-step batches and
+    the fresh_state seed; a lam-only opt run reads _FrozenBeta.lambda_split.
     """
     _require_interior(f.eta)
     v_lam, u_lam, _ = _lambda_terms(ctx, f, _inverse(f))
@@ -240,6 +256,87 @@ def _root_moment(ctx: MLContext, f: _Factors) -> np.ndarray:
     """
     sinv = _inverse(f)
     z = np.einsum("ij,ij->j", sinv, sinv)
-    z *= ctx.sigma2 * (f.d * f.d)
+    # one factor at a time: sigma2 * d^2 alone overflows at large output scale
+    z *= ctx.sigma2
+    z *= f.d
+    z *= f.d
     z += _root_mean(f) ** 2
     return z
+
+
+class _Spectral(NamedTuple):
+    """A frozen-beta evaluation at eta: what _value and _FrozenBeta.lambda_split read."""
+
+    eta: Hyperparameters
+    inv: np.ndarray  # 1 / delta, delta = sigma2 + lam * mu
+    w: np.ndarray  # b / delta
+    logdet: float  # log det (sigma2 I + lam M)
+    tt: float  # ||t||^2 = lam * b' w
+
+
+class _FrozenBeta:
+    """The likelihood and its lam-gradient along lam at one beta, from one eigendecomposition.
+
+    M = diag(d0) C diag(d0) = Q diag(mu) Q' is positive semidefinite by
+    construction, so mu is clipped at 0 against rounding; dsyevd factors it
+    once, and every ``at`` after that is O(n) (module docstring).  ``at``
+    keeps its last evaluation and hands it back for the same eta object, so
+    an optimizer step that starts from the candidate its predecessor
+    accepted does not evaluate it again.  The lam-gradient exists on the
+    whole closed box -- V_lam = sum mu / delta and U_lam = sum b^2 / delta^2
+    are finite at lam = 0 and at beta = 0 or 1 -- so it is read at eta
+    itself, with none of ``optim._interior``'s margins.
+    """
+
+    def __init__(self, ctx: MLContext, beta: float):
+        stats = ctx.stats
+        d0 = np.sqrt(tc_block_weights(stats.n, beta))
+        m = d0[:, None] * stats.C
+        m *= d0
+        # m is symmetric, so m.T is the same matrix in Fortran order
+        mu, q, info = lapack.dsyevd(m.T, lower=1, overwrite_a=1)
+        if info != 0:
+            raise NonFiniteLikelihoodError(
+                f"eigendecomposition failed at beta={beta!r}: dsyevd info {info}"
+            )
+        np.maximum(mu, 0.0, out=mu)
+        self.sigma2 = ctx.sigma2
+        self.beta = beta
+        self.mu = mu
+        self.b = q.T @ (d0 * stats.cum_y)
+        self._last = None
+
+    def at(self, eta: Hyperparameters) -> _Spectral:
+        """The evaluation at eta, whose beta must be the frozen one.
+
+        An overflowing lam * mu leaves log det infinite, and a non-finite
+        log det or ||t||^2 raises NonFiniteLikelihoodError, as in _factorize.
+        """
+        if self._last is not None and self._last.eta is eta:
+            return self._last
+        if eta.beta != self.beta:
+            raise ValueError(f"beta is frozen at {self.beta!r}, got {eta.beta!r}")
+        lam = eta.lam
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = self.mu * lam
+            delta += self.sigma2
+            inv = 1.0 / delta
+            w = self.b * inv
+            logdet = float(np.log(delta).sum())
+            tt = lam * float(self.b @ w)
+        if not (math.isfinite(logdet) and math.isfinite(tt)):
+            raise NonFiniteLikelihoodError(
+                f"non-finite frozen-beta evaluation at eta=({lam!r}, {eta.beta!r})"
+            )
+        self._last = _Spectral(eta, inv, w, logdet, tt)
+        return self._last
+
+    def lambda_split(self, f: _Spectral) -> tuple:
+        """(V_lam, U_lam) at f.eta, as _lambda_split: V_lam = sum mu / delta, U_lam = ||w||^2."""
+        v_lam = float(self.mu @ f.inv)
+        u_lam = float(f.w @ f.w)
+        if not (math.isfinite(v_lam) and math.isfinite(u_lam)):
+            raise NonFiniteLikelihoodError(
+                f"non-finite gradient at eta=({f.eta.lam!r}, {f.eta.beta!r})"
+            )
+        return v_lam, u_lam

@@ -11,7 +11,9 @@ form, plus for ``em`` a search over beta (a fixed grid, polished by
 safeguarded Newton); ``step`` runs the one that a method names, for a
 one-step batch and for each iteration of opt_until_convergence alike.
 Every updater returns a StepReport carrying the likelihood factor at its new
-eta, from which the estimator forms the posterior mean.  State needed across
+eta, from which the estimator forms the posterior mean; a lam-only
+opt_until_convergence run steps on one frozen-beta eigendecomposition
+(likelihood._FrozenBeta) and factors only its result.  State needed across
 batches is only the previous iterate, its gradient, the BB alternation
 threshold, and the BFGS matrix.  OptimizerConfig holds the six settings a
 caller may vary; the rest are the module constants below.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -108,7 +110,8 @@ class StepReport:
     gamma: float
     backtracks: int  # rejected candidate step lengths
     # factor at eta_new, so the caller forms the posterior mean without
-    # factorizing again
+    # factorizing again (a frozen-beta step's evaluation at eta_new instead,
+    # until opt_until_convergence factors the result)
     factors: likelihood._Factors = field(repr=False, compare=False)
     # optimizer state for the next gradient step (None after an EM step)
     state: Optional[OptimizerState] = field(repr=False, compare=False)
@@ -224,6 +227,7 @@ def gradient_step(
     eta: Hyperparameters,
     method: str,
     cfg: OptimizerConfig = None,
+    frozen: likelihood._FrozenBeta = None,
 ) -> StepReport:
     """One projected scaled-gradient iteration from ``state``, which is left as it was.
 
@@ -231,6 +235,11 @@ def gradient_step(
     exactly the secant seed the next batch needs.  An interior eta
     is factorized once, for the gradient and the value alike, and each
     line-search candidate once; the report carries the factor at eta_new.
+
+    With ``frozen`` (a lam-only state at frozen.beta) the values and the
+    lam-gradient are read from its eigendecomposition instead, O(n) each,
+    the gradient at eta itself (likelihood._FrozenBeta), and the report
+    carries that evaluation at eta_new in place of a factor.
     """
     if method not in GRADIENT_METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
@@ -238,7 +247,14 @@ def gradient_step(
     active = state.active
     lam, beta = here = (eta.lam, eta.beta)
 
-    grad, v, f = _grad_at(ctx, eta, active)
+    if frozen is None:
+        evaluate = functools.partial(likelihood._factorize, ctx)
+        grad, v, f = _grad_at(ctx, eta, active)
+    else:
+        evaluate = frozen.at
+        f = evaluate(eta)
+        v_lam, u_lam = frozen.lambda_split(f)
+        grad, v = (v_lam - u_lam,), (v_lam,)
     r, w = secant_pair(state, here, grad)
     tau_new = state.tau
     b_new = state.b_prev
@@ -259,7 +275,7 @@ def gradient_step(
     slope = _dot(grad, delta)  # over the active coordinates only
 
     if f.eta is not eta:  # the gradient was taken at the interior-clamped eta
-        f = likelihood._factorize(ctx, eta)
+        f = evaluate(eta)
     ml_before = _value(ctx, f)
     gamma = 0.0
     backtracks = 0
@@ -273,7 +289,7 @@ def gradient_step(
             g = BACKTRACK_FACTOR**i
             cand = Hyperparameters(*_clamp_box(lam + g * delta[0], beta + g * delta[1]))
             try:
-                f_c = likelihood._factorize(ctx, cand)
+                f_c = evaluate(cand)
                 ml_c = _value(ctx, f_c)
             except NonFiniteLikelihoodError:
                 continue
@@ -502,10 +518,12 @@ def fresh_state(
     )
 
 
-def step(ctx: MLContext, state, eta: Hyperparameters, method: str, cfg: OptimizerConfig):
-    """One update of ``method`` from eta: gradient_step from ``state``, or em_step."""
+def step(
+    ctx: MLContext, state, eta: Hyperparameters, method: str, cfg: OptimizerConfig, frozen=None
+):
+    """One update of ``method`` from eta: gradient_step from ``state`` and ``frozen``, or em_step."""
     if method in GRADIENT_METHODS:
-        return gradient_step(ctx, state, eta, method, cfg)
+        return gradient_step(ctx, state, eta, method, cfg, frozen)
     return em_step(ctx, eta, method)
 
 
@@ -523,6 +541,15 @@ def opt_until_convergence(
     report, whose eta_new is the result, whose factor gives its posterior
     mean and whose state (None for EM) holds a secant seed in its
     eta_prev/grad_prev, with the iteration count.
+
+    A lam-only run of a gradient method visits many lam at one beta, so
+    every iteration reads the likelihood from one likelihood._FrozenBeta
+    eigendecomposition, and the result alone is factored by _factorize,
+    which gives the report its factor and its ml_after (ml_before stays the
+    eigendecomposition's value).  The fresh_state seed keeps the Cholesky
+    path: its gradient is taken at beta * (1 + 1e-3), not at the frozen
+    beta, so the eigendecomposition cannot serve it.  EM runs, em1 and em2
+    included, factor every iteration as one-step batches do.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -530,15 +557,20 @@ def opt_until_convergence(
     if cfg.opt_max_iter < 1:
         raise ValueError(f"opt_max_iter must be >= 1, got {cfg.opt_max_iter}")
     eta = eta0
-    state = None
+    state = frozen = None
     if method in GRADIENT_METHODS:
         state = fresh_state(ctx, eta0, lambda_only=lambda_only)
+        if lambda_only:
+            frozen = likelihood._FrozenBeta(ctx, eta0.beta)
     iterations = 0
     for _ in range(cfg.opt_max_iter):
-        rep = step(ctx, state, eta, method, cfg)
+        rep = step(ctx, state, eta, method, cfg, frozen)
         state = rep.state
         eta = rep.eta_new
         iterations += 1
         if abs(rep.ml_after - rep.ml_before) <= cfg.opt_tol * (1.0 + abs(rep.ml_after)):
             break
+    if frozen is not None:
+        f = likelihood._factorize(ctx, eta)
+        rep = replace(rep, ml_after=_value(ctx, f), factors=f)
     return rep, iterations

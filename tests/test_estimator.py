@@ -250,8 +250,10 @@ def test_one_factorization_per_batch_and_eta(monkeypatch):
     # once (value and gradient alike; a boundary eta once more for the value)
     # plus each line-search candidate once; EM factors the old eta for the
     # second moment and the new one for the mean; opt mode pays the
-    # fresh_state seed plus its steps.  Every updater hands back the factor
-    # at its new eta, so the mean costs nothing more.
+    # fresh_state seed plus its steps, and a lam-only opt run the seed and
+    # its result alone, its steps reading the frozen-beta eigendecomposition.
+    # Every updater hands back the factor at its new eta, so the mean costs
+    # nothing more.
     factored = []
     real_factorize = likelihood._factorize
 
@@ -284,6 +286,7 @@ def test_one_factorization_per_batch_and_eta(monkeypatch):
         (80, "bfgs", False, "onestep"), (80, "sgp", True, "onestep"),
         (80, "em", False, "onestep"), (80, "em1", False, "onestep"),
         (80, "em2", False, "onestep"), (20, "sgp", False, "opt"),
+        (20, "sgp", True, "opt"),
     ):
         rng = np.random.default_rng(3)
         warm, nk = 100, 10
@@ -296,13 +299,27 @@ def test_one_factorization_per_batch_and_eta(monkeypatch):
             factored.clear()
             steps.clear()
             snap = est.process_batch(u[start:start + nk], y[start:start + nk])
-            if method.startswith("em"):
+            if method.startswith("em") or (mode, lambda_only) == ("opt", True):
                 want = 2
             else:
                 want = (mode == "opt") + sum(step_cost(eta, rep) for eta, rep in steps)
             assert len(factored) == want, (method, lambda_only, mode, snap.batch_index, len(factored), want)
             ctx = MLContext(est._stats, snap.sigma2)
             np.testing.assert_array_equal(snap.h, _mean(real_factorize(ctx, snap.eta)))
+
+
+def test_em_variants_survive_large_output_scale():
+    # the benchmark's stream (3, 0) with y scaled up: the second moment's
+    # sigma2 * d^2 must not overflow, or em sends lam to 0 (h = 0) and em2
+    # raises on a NaN lam; filterwarnings = error catches any RuntimeWarning
+    rng = np.random.default_rng(np.random.SeedSequence((3, 0)))
+    system = random_system(rng, 20)
+    u = bandlimited_input(rng, 150)
+    y = simulate_io(system, u, 5.0, rng)
+    for scale in (1e80, 1e150):
+        for method in ("em", "em1", "em2"):
+            snaps = run_stream(OnlineEstimator(20, method=method), u, scale * y, warm=100, nk=10)
+            assert all(s.h.any() for s in snaps), (scale, method)
 
 
 def test_lambda_only_em_holds_where_warmup_leaves_beta_at_one():
@@ -328,12 +345,16 @@ def test_lambda_only_em_holds_where_warmup_leaves_beta_at_one():
 
 
 class _CountingLapack:
-    """Stands in for bayesfir._lapack in one module, counting dpotrf and dtrtri calls."""
+    """Stands in for bayesfir._lapack in one module, counting dpotrf, dtrtri and dsyevd calls."""
 
     def __init__(self, real):
         self.real = real
+        self.clear()
+
+    def clear(self):
         self.dpotrf_info = []  # info of every dpotrf call, in order
         self.dtrtri_calls = 0
+        self.dsyevd_calls = 0
 
     def dpotrf(self, *args, **kwargs):
         out = self.real.dpotrf(*args, **kwargs)
@@ -343,6 +364,10 @@ class _CountingLapack:
     def dtrtri(self, *args, **kwargs):
         self.dtrtri_calls += 1
         return self.real.dtrtri(*args, **kwargs)
+
+    def dsyevd(self, *args, **kwargs):
+        self.dsyevd_calls += 1
+        return self.real.dsyevd(*args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self.real, name)
@@ -355,7 +380,9 @@ def test_lapack_calls_per_batch(monkeypatch):
     # batch factors its eta once, each rejected candidate once and the
     # accepted one once (one more to value a boundary eta); an EM batch
     # factors the old and the new eta, or the old one only when it holds;
-    # dtrtri runs at most once, never for em1
+    # dtrtri runs at most once, never for em1; no one-step batch calls
+    # dsyevd.  A lam-only opt batch factors its fresh_state seed (the one
+    # dtrtri) and its result, and eigendecomposes once for every step between
     in_stats = _CountingLapack(stats.lapack)
     in_likelihood = _CountingLapack(likelihood.lapack)
     monkeypatch.setattr(stats, "lapack", in_stats)
@@ -379,24 +406,30 @@ def test_lapack_calls_per_batch(monkeypatch):
     u = bandlimited_input(rng, warm + 12 * nk)
     y = simulate_io(system, u, 5.0, rng)
     accepted = 0
-    for method, lambda_only in (
-        ("bb", False), ("sgp", False), ("bfgs", False), ("em", False), ("em1", False),
-        ("em2", False), ("bb", True), ("sgp", True), ("bfgs", True),
+    for method, lambda_only, mode in (
+        ("bb", False, "onestep"), ("sgp", False, "onestep"), ("bfgs", False, "onestep"),
+        ("em", False, "onestep"), ("em1", False, "onestep"), ("em2", False, "onestep"),
+        ("bb", True, "onestep"), ("sgp", True, "onestep"), ("bfgs", True, "onestep"),
+        ("bb", True, "opt"), ("sgp", True, "opt"), ("bfgs", True, "opt"),
     ):
-        est = OnlineEstimator(n, method=method, lambda_only=lambda_only)
+        est = OnlineEstimator(n, method=method, mode=mode, lambda_only=lambda_only)
         est.initialize(u[:warm], y[:warm])
         for start in range(warm, u.size, nk):
             for counter in (in_stats, in_likelihood):
-                counter.dpotrf_info.clear()
-                counter.dtrtri_calls = 0
+                counter.clear()
             reports.clear()
             est.process_batch(u[start:start + nk], y[start:start + nk])
-            (eta, rep), = reports
-            where = (method, lambda_only, start)
+            where = (method, lambda_only, mode, start)
             ridge = 0 < in_stats.dpotrf_info[0] <= n
             assert len(in_stats.dpotrf_info) == 1 + ridge, where
-            assert in_stats.dtrtri_calls == 0, where
+            assert in_stats.dtrtri_calls == in_stats.dsyevd_calls == 0, where
             assert in_likelihood.dtrtri_calls == (0 if method == "em1" else 1), where
+            assert in_likelihood.dsyevd_calls == (mode == "opt"), where
+            if mode == "opt":
+                assert len(reports) >= 1, where
+                assert len(in_likelihood.dpotrf_info) == 2, where
+                continue
+            (eta, rep), = reports
             if method.startswith("em"):
                 want = 1 if rep.gamma == 0.0 else 2
             elif rep.gamma > 0.0:

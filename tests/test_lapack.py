@@ -7,7 +7,7 @@ import sys
 import bayesfir
 
 SRC = os.path.dirname(os.path.dirname(bayesfir.__file__))
-ROUTINES = ("dpotrf", "dtrtrs", "dtrtri")
+ROUTINES = ("dpotrf", "dtrtrs", "dtrtri", "dsyevd")
 
 
 def run_child(code, *path):

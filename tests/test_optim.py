@@ -446,6 +446,34 @@ def test_opt_until_convergence_lambda_only_freezes_beta():
     assert eta.lam != eta0.lam
 
 
+def test_lambda_only_opt_lands_on_the_one_dimensional_minimum():
+    # the run steps on the frozen-beta eigendecomposition; its result must be
+    # the minimum of the Cholesky value along lam, to what the stopping rule
+    # allows: a value gap within opt_tol * (1 + |L|), and lam within the
+    # distance at which the quadratic model rises by that much
+    ctx, _, _ = random_instance(np.random.default_rng(43), 4, 35)
+    for beta in (0.5, 0.85):
+        eta0 = Hyperparameters(ctx.stats.ybar / (ctx.stats.nbar * 4), beta)
+
+        def value(lam):
+            return _value(ctx, _factorize(ctx, Hyperparameters(lam, beta)))
+
+        logs = np.log(eta0.lam) + np.linspace(-10.0, 10.0, 201)
+        j = int(np.argmin([value(np.exp(s)) for s in logs]))
+        assert 0 < j < logs.size - 1
+        s_star, l_star = golden_min(lambda s: value(np.exp(s)), logs[j - 1], logs[j + 1], 1e-9)
+        lam_star = np.exp(s_star)
+        h = 1e-3 * lam_star
+        curvature = (value(lam_star + h) - 2.0 * l_star + value(lam_star - h)) / h**2
+        tol = CFG.opt_tol * (1.0 + abs(l_star))
+        for method in ("bb", "sgp"):
+            rep, _ = opt_until_convergence(ctx, eta0, method=method, lambda_only=True)
+            assert rep.factors.eta == rep.eta_new and rep.eta_new.beta == beta
+            assert rep.ml_after == _value(ctx, rep.factors)
+            assert rep.ml_after - l_star <= tol, (beta, method)
+            assert abs(rep.eta_new.lam - lam_star) <= np.sqrt(2.0 * tol / curvature), (beta, method)
+
+
 def test_opt_starts_agree_on_the_minimum():
     # two distant starts should find the same basin; recorded, not enforced
     ctx, _, _ = random_instance(np.random.default_rng(47), 4, 40)
