@@ -13,10 +13,13 @@ The kernel is never formed.  With U the upper-triangular all-ones matrix,
     K = lam * U diag(c) U',   c_m = beta**m (1 - beta) (m < n),  c_n = beta**n,
 
 and every c_m >= 0, so U diag(sqrt(lam * c)) is an exact square root on the
-whole closed box, boundary included (Chen & Ljung, Automatica 2013).  Its
-beta-derivative is closed-form too, and so is its inverse: wherever every
-c_m > 0, U^-T diag(1 / (lam * c)) U^-1, which is diagonal in the root's
-basis.  The EM M-step reads it there (optim._em_profile).
+whole closed box, boundary included (Chen & Ljung, Automatica 2013).  The
+log-derivative of its weights is closed form and finite everywhere inside
+the box, g = d log sqrt(c) / d beta (dlog_root_weights), so dK/dbeta =
+lam U diag(2 g c) U' needs no division by c; the likelihood gradient reads
+it in the root's basis.  So is the inverse: wherever every c_m > 0,
+U^-T diag(1 / (lam * c)) U^-1, which is diagonal in the root's basis.  The
+EM M-step reads it there (optim._em_profile).
 """
 
 from __future__ import annotations
@@ -60,17 +63,14 @@ def tc_block_weights(n: int, beta: float) -> np.ndarray:
     return c
 
 
-def dbeta_block_weights(n: int, beta: float) -> np.ndarray:
-    """Beta-derivative of tc_block_weights: d/dbeta beta ** max(i, j) == sum_m c[m] * B_m.
+def dlog_root_weights(n: int, beta: float) -> np.ndarray:
+    """g = d log sqrt(c) / d beta inside the box (0 < beta < 1), c = tc_block_weights(n, beta).
 
-    Any matrix a[max(i, j)] splits into sum_m (a_m - a_{m+1}) B_m + a_n B_n;
-    here a_m = m * beta ** (m - 1).  Positive weights collect the positive
-    semidefinite part of the derivative and negative weights the rest, which
-    is what the gradient sign-split needs.
+    From c_m = beta**m (1 - beta) for m < n and c_n = beta**n (1-based),
+    g_m = (m / beta - 1 / (1 - beta)) / 2 and g_n = n / (2 beta), so the
+    root's derivative is g * sqrt(c) and c' = 2 g c.  Nothing here divides
+    by c, which underflows at large m.
     """
-    m = np.arange(1, n + 1, dtype=float)
-    a = m * beta ** (m - 1.0)
-    c = np.empty(n)
-    c[:-1] = a[:-1] - a[1:]
-    c[-1] = a[-1]
-    return c
+    g = np.arange(1.0, n + 1.0) * (0.5 / beta)
+    g[:-1] -= 0.5 / (1.0 - beta)
+    return g

@@ -20,10 +20,14 @@ Sigma = Phi K Phi' + sigma2 I.  The root is exact on the whole closed box, so
 the formula needs no fallback for semidefinite K (lam = 0 gives S = sigma I
 and the degenerate limit nbar log sigma2 + ybar / sigma2).
 
-The posterior is read in the same root basis.  Its mean is
-h = U (d * S^-T t), and the EM M-step reads the second moment M = P + h h'
-only through Z = diag(U^-1 M U^-T) (_root_moment), because in that basis
-the unit kernel's inverse is diagonal (kernel module docstring).
+The gradient and the posterior are read in the same root basis, off
+diag((S S')^-1) (one dtrtri) and w = S^-T t (one dtrtrs).  The gradient is
+sum 2 g (p - w^2) with p = 1 - sigma2 diag((S S')^-1) and g the log-derivative
+of d (_split), so no n-by-n product is formed and nothing divides by d.
+The posterior mean is h = U (d * w), and the EM M-step reads the second
+moment M = P + h h' only through Z = diag(U^-1 M U^-T) (_root_moment),
+because in that basis the unit kernel's inverse is diagonal (kernel module
+docstring).
 
 Along lam at one frozen beta the inner matrix is the one-parameter family
 A(lam) = sigma2 I + lam M, M = diag(d0) C diag(d0), d0 = sqrt(c(beta)).
@@ -49,8 +53,8 @@ callers factor once and read what they need.  LAPACK is called directly
 through scipy's Fortran wrappers dpotrf, dtrtrs, dtrtri and dsyevd, which
 ``_lapack`` loads without scipy.linalg's package.  A finiteness check on
 the factor's log determinant and ||t||^2 stands in for scipy's input
-validation, and each n-by-n temporary is built once: the factor keeps
-diag(d) C, the left half of (d d') * C, which the beta gradient reads again.
+validation.  Past the factor, the one n-by-n temporary is S^-1, which the
+gradient and the EM second moment build for its column norms.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lapack as lapack
-from .kernel import Hyperparameters, dbeta_block_weights, tc_block_weights
+from .kernel import Hyperparameters, dlog_root_weights, tc_block_weights
 from .stats import SufficientStats
 
 
@@ -87,7 +91,6 @@ class MLContext:
 class _Factors(NamedTuple):
     eta: Hyperparameters
     d: np.ndarray  # root weights, K = U diag(d^2) U'
-    dc: np.ndarray  # diag(d) C
     s: np.ndarray  # lower Cholesky of sigma2 I + (d d') * C, Fortran order, upper zeroed
     t: np.ndarray  # S^-1 (d * cum_y)
     logdet: float  # log det (S S')
@@ -107,8 +110,8 @@ def _factorize(ctx: MLContext, eta: Hyperparameters) -> _Factors:
     n = ctx.stats.n
     d = np.sqrt(eta.lam * tc_block_weights(n, eta.beta))
     with np.errstate(over="ignore", invalid="ignore"):
-        dc = d[:, None] * ctx.stats.C
-        a = dc * d
+        a = d[:, None] * ctx.stats.C
+        a *= d
         rhs = d * ctx.stats.cum_y
         a.ravel()[:: n + 1] += ctx.sigma2
         # a is symmetric, so a.T is the same matrix in Fortran order: dpotrf
@@ -125,7 +128,7 @@ def _factorize(ctx: MLContext, eta: Hyperparameters) -> _Factors:
         raise NonFiniteLikelihoodError(
             f"non-finite inner factor at eta=({eta.lam!r}, {eta.beta!r})"
         )
-    return _Factors(eta, d, dc, s, t, logdet, tt)
+    return _Factors(eta, d, s, t, logdet, tt)
 
 
 def _value(ctx: MLContext, f) -> float:
@@ -151,40 +154,50 @@ def _root_mean(f: _Factors) -> np.ndarray:
 
 def _mean(f: _Factors) -> np.ndarray:
     """Posterior mean L S^-T t = U (d * S^-T t): a reversed cumulative sum, O(n^2) given S."""
-    return np.cumsum(_root_mean(f)[::-1])[::-1]
+    return np.add.accumulate(_root_mean(f)[::-1])[::-1]
 
 
-def _inverse(f: _Factors) -> np.ndarray:
-    """S^-1, lower triangular with the upper triangle zero."""
+def _inverse_diagonal(f: _Factors) -> np.ndarray:
+    """diag((S S')^-1) = colnorms^2(S^-1), from one dtrtri."""
     sinv, _ = lapack.dtrtri(f.s, lower=1)
-    return sinv
+    return np.einsum("ij,ij->j", sinv, sinv)
 
 
-def _require_interior(eta: Hyperparameters) -> None:
-    if eta.lam <= 0.0 or not 0.0 < eta.beta < 1.0:
-        raise ValueError(
-            f"gradient needs interior eta (lam > 0, 0 < beta < 1), got ({eta.lam!r}, {eta.beta!r})"
-        )
+def _root_terms(ctx: MLContext, f: _Factors) -> tuple:
+    """(p, w, V_lam, U_lam): the root-basis diagonals of the gradient (_split).
 
-
-def _lambda_terms(ctx: MLContext, f: _Factors, sinv: np.ndarray):
-    """(V_lam, U_lam, q): the lam gradient pieces plus q = U' v.
-
-    Uses Tr(Sigma^-1 Phi K_b Phi') = (n - sigma2 ||S^-1||_F^2) / lam, an exact
-    consequence of L'RL = SS' - sigma2 I, and the data-side quadratic
-    U_lam = ||L' v||^2 / lam = ||d * q||^2 / lam with v = Phi' Sigma^-1 y, so
-    both pieces are nonnegative by construction.  v = (ytilde - R h) / sigma2
-    with h = U z the posterior mean, so q = (U' ytilde - C z) / sigma2.
+    p = 1 - sigma2 diag((S S')^-1), clipped at 0 against rounding, and
+    w = S^-T t; V_lam = sum p / lam and U_lam = ||w||^2 / lam.  f.eta must be
+    interior.
     """
-    s2 = ctx.sigma2
-    lam = f.eta.lam
-    flat = sinv.ravel(order="K")
-    v_lam = max(ctx.stats.n - s2 * float(flat @ flat), 0.0) / lam
-    q = ctx.stats.cum_y - ctx.stats.C @ _root_mean(f)
-    q /= s2
-    dq = f.d * q
-    u_lam = float(dq @ dq) / lam
-    return v_lam, u_lam, q
+    lam, beta = f.eta.lam, f.eta.beta
+    if lam <= 0.0 or not 0.0 < beta < 1.0:
+        raise ValueError(
+            f"gradient needs interior eta (lam > 0, 0 < beta < 1), got ({lam!r}, {beta!r})"
+        )
+    p = _inverse_diagonal(f)
+    p *= -ctx.sigma2
+    p += 1.0
+    np.maximum(p, 0.0, out=p)
+    w, _ = lapack.dtrtrs(f.s, f.t, lower=1, trans=1)
+    return p, w, float(p.sum()) / lam, float(w @ w) / lam
+
+
+def _checked(eta: Hyperparameters, parts: tuple) -> tuple:
+    if not all(map(math.isfinite, parts)):
+        raise NonFiniteLikelihoodError(
+            f"non-finite gradient at eta=({eta.lam!r}, {eta.beta!r})"
+        )
+    return parts
+
+
+def _lambda_split(ctx: MLContext, f: _Factors) -> tuple:
+    """(V_lam, U_lam) at an interior f.eta: _split's lam components alone.
+
+    The frozen-beta gradient on a Cholesky factor, for one-step batches and
+    the fresh_state seed; a lam-only opt run reads _FrozenBeta.lambda_split.
+    """
+    return _checked(f.eta, _root_terms(ctx, f)[2:])
 
 
 def _split(ctx: MLContext, f: _Factors) -> tuple:
@@ -192,59 +205,39 @@ def _split(ctx: MLContext, f: _Factors) -> tuple:
 
     The gradient is V - U: V collects the positive (log-determinant side)
     parts and U the nonnegative (data fit side) parts, and scaled projected
-    methods use V alone to build their diagonal metric.  f.eta must be
-    interior.  The beta component is assembled blockwise: the
-    derivative kernel d K_b / d beta decomposes over leading-block indicators
-    with weights of either sign (kernel.dbeta_block_weights), and each block
-    contributes a nonnegative trace and a nonnegative quadratic term, routed
-    to V or U according to the weight's sign so that V > 0, U >= 0 and
-    grad = V - U.  V and U are (lam, beta) pairs of floats.
+    methods use V alone to build their diagonal metric.  V and U are
+    (lam, beta) pairs of floats; f.eta must be interior.
+
+    Both components are read in the kernel root's basis.  With L = U diag(d)
+    and L' R L = S S' - sigma2 I,
+
+        L' Phi' Sigma^-1 Phi L = I - sigma2 (S S')^-1,    L' Phi' Sigma^-1 y = S^-T t = w,
+
+    and d K / d theta = L diag(2 g) L' with g = d log d / d theta: 1 / (2 lam)
+    for lam, and kernel.dlog_root_weights for beta, finite everywhere inside
+    the box.  So with p = diag(I - sigma2 (S S')^-1), which lies in [0, 1],
+
+        dL/dtheta = Tr(Sigma^-1 dSigma) - y' Sigma^-1 dSigma Sigma^-1 y = sum 2 g (p - w^2).
+
+    p and w^2 are nonnegative, so routing each term by the sign of g gives
+    V = (sum p / lam, 2 (g+ . p + g- . w^2)) and U = (||w||^2 / lam,
+    2 (g- . p + g+ . w^2)): V >= 0, U >= 0 and grad = V - U.  These are the
+    numbers the derivative kernel's block decomposition gives (its weights
+    are lam c' = 2 g d^2, with the same signs as g), but read without G =
+    S^-1 diag(d) C, whose trace terms C_mm - ||G e_m||^2 cancel at high SNR.
+    Nothing divides by d, which underflows at small lam or beta: the chain
+    rule through log d leaves g, and p and w come straight off the factor.
     """
     eta = f.eta
-    _require_interior(eta)
-    n, s2 = ctx.stats.n, ctx.sigma2
-    sinv = _inverse(f)
-    v_lam, u_lam, q = _lambda_terms(ctx, f, sinv)
-
-    # Per-block trace terms tv_m = Tr(Sigma^-1 Phi B_m Phi') = (C_mm - ||G e_m||^2) / sigma2
-    # with G = S^-1 L' R U = S^-1 (d * C), and quadratics tu_m = (v' B_m v) = q_m^2.
-    # terms holds sigma2 * tv and tu, parts the positive and negative parts
-    # c+ and c- of the block weights, so parts @ terms' is
-    # [[c+ . sigma2 tv, c+ . tu], [c- . sigma2 tv, c- . tu]].
-    g = sinv @ f.dc
-    terms = np.empty((2, n))
-    np.einsum("ij,ij->j", g, g, out=terms[0])
-    np.subtract(ctx.stats.C.diagonal(), terms[0], out=terms[0])
-    np.maximum(terms[0], 0.0, out=terms[0])
-    np.multiply(q, q, out=terms[1])
-    c = dbeta_block_weights(n, eta.beta)
-    parts = np.empty((2, n))
-    np.maximum(c, 0.0, out=parts[0])
-    np.subtract(parts[0], c, out=parts[1])
-    (pos_tv, pos_tu), (neg_tv, neg_tu) = (parts @ terms.T).tolist()
-    v_beta = eta.lam * (pos_tv / s2 + neg_tu)
-    u_beta = eta.lam * (neg_tv / s2 + pos_tu)
-
-    if not all(map(math.isfinite, (v_lam, v_beta, u_lam, u_beta))):
-        raise NonFiniteLikelihoodError(
-            f"non-finite gradient at eta=({eta.lam!r}, {eta.beta!r})"
-        )
+    p, w, v_lam, u_lam = _root_terms(ctx, f)
+    w *= w
+    g = dlog_root_weights(ctx.stats.n, eta.beta)
+    pos = np.maximum(g, 0.0)
+    neg = pos - g
+    v_beta = 2.0 * (float(pos @ p) + float(neg @ w))
+    u_beta = 2.0 * (float(neg @ p) + float(pos @ w))
+    _checked(eta, (v_lam, v_beta, u_lam, u_beta))
     return (v_lam, v_beta), (u_lam, u_beta)
-
-
-def _lambda_split(ctx: MLContext, f: _Factors) -> tuple:
-    """(V_lam, U_lam) at an interior f.eta without the beta machinery.
-
-    The frozen-beta gradient on a Cholesky factor, for one-step batches and
-    the fresh_state seed; a lam-only opt run reads _FrozenBeta.lambda_split.
-    """
-    _require_interior(f.eta)
-    v_lam, u_lam, _ = _lambda_terms(ctx, f, _inverse(f))
-    if not (math.isfinite(v_lam) and math.isfinite(u_lam)):
-        raise NonFiniteLikelihoodError(
-            f"non-finite gradient at eta=({f.eta.lam!r}, {f.eta.beta!r})"
-        )
-    return v_lam, u_lam
 
 
 def _root_moment(ctx: MLContext, f: _Factors) -> np.ndarray:
@@ -252,10 +245,9 @@ def _root_moment(ctx: MLContext, f: _Factors) -> np.ndarray:
 
     In the root basis the covariance is U^-1 P U^-T = sigma2 diag(d) S^-T S^-1 diag(d)
     and the mean is U^-1 h = d * S^-T t (_root_mean), so
-    Z = sigma2 d^2 * colnorms^2(S^-1) + (d * S^-T t)^2, O(n^2) given S^-1.
+    Z = sigma2 d^2 * diag((S S')^-1) + (d * S^-T t)^2, O(n^2) given S^-1.
     """
-    sinv = _inverse(f)
-    z = np.einsum("ij,ij->j", sinv, sinv)
+    z = _inverse_diagonal(f)
     # one factor at a time: sigma2 * d^2 alone overflows at large output scale
     z *= ctx.sigma2
     z *= f.d

@@ -378,7 +378,8 @@ def _beta_grid(n: int):
     Returns the points, uniform in logit(beta) so that they crowd toward
     both ends of the box; their powers beta^0 .. beta^(n-1), one row each;
     the beta-only part of the profiled objective, -n(n-1)/2 log beta -
-    log(1 - beta); and the mask of points where lam* exists.
+    log(1 - beta); the mask of points where lam* exists; the exponents 0 .. n-1;
+    and the gather and weights that give F, F', F'' coefficients (_best_beta).
     """
     lo, hi = BETA_EPS, 1.0 - BETA_EPS
     s = np.linspace(math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi)), _GRID_POINTS)
@@ -387,9 +388,14 @@ def _beta_grid(n: int):
     powers = beta[:, None] ** np.arange(n, dtype=float)
     exists = np.array([_inverse_scale(b, n) is not None for b in beta.tolist()])
     base = -0.5 * n * (n - 1) * np.log(beta) - np.log1p(-beta)
-    for arr in (beta, powers, base, exists):
+    # row r, column m of weights * coef[gather] is (m + r)! / m! coef[m + r], or 0
+    k = np.arange(n, dtype=float)
+    gather = np.minimum(np.arange(n) + np.arange(3)[:, None], n - 1)
+    weights = np.zeros((3, n))
+    weights[0], weights[1, :-1], weights[2, :-2] = 1.0, k[1:], k[2:] * k[1:-1]
+    for arr in (beta, powers, base, exists, k, gather, weights):
         arr.flags.writeable = False
-    return beta, powers, base, exists
+    return beta, powers, base, exists, k, gather, weights
 
 
 def _best_beta(coef: np.ndarray):
@@ -409,24 +415,21 @@ def _best_beta(coef: np.ndarray):
     grid point.
     """
     n = coef.size
-    grid, powers, base, exists = _beta_grid(n)
+    grid, powers, base, exists, k, gather, weights = _beta_grid(n)
     f_grid = powers @ coef
     ok = exists & (f_grid > 0.0)
-    if not ok.any():
+    phi = np.log(f_grid, out=np.full(grid.size, math.inf), where=ok)
+    phi *= n
+    phi += base
+    j = int(phi.argmin())
+    if phi[j] == math.inf and not ok.any():
         return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(ok, n * np.log(f_grid) + base, np.inf)
-    j = int(np.argmin(phi))
     x = float(grid[j])
     a = float(grid[j - 1]) if j > 0 and ok[j - 1] else x
     b = float(grid[j + 1]) if j + 1 < grid.size and ok[j + 1] else x
 
     # rows: F, F' and F'' as polynomials in beta
-    k = np.arange(n, dtype=float)
-    derivs = np.zeros((3, n))
-    derivs[0] = coef
-    derivs[1, :-1] = k[1:] * coef[1:]
-    derivs[2, :-2] = k[2:] * k[1:-1] * coef[2:]
+    derivs = weights * coef[gather]
     tri = 0.5 * n * (n - 1)
     dx_old = dx = b - a
     for _ in range(_NEWTON_MAX_ITER):

@@ -45,8 +45,8 @@ class Batch:
     y: np.ndarray
 
     def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        u = np.array(self.u, dtype=float, copy=None, ndmin=1)
+        y = np.array(self.y, dtype=float, copy=None, ndmin=1)
         if u.ndim != 1 or y.ndim != 1:
             raise ValueError("batch u and y must be one-dimensional")
         if u.size != y.size:
@@ -115,21 +115,23 @@ def ingest(stats: SufficientStats, batch: Batch) -> SufficientStats:
     regressors and Psi = Phi U their cumulative sums along each row, the
     updates are the gemms X'X and Psi'Psi.  Each left factor is a transposed
     copy rather than a view, because numpy sends x.T @ x to syrk, which is
-    about twice as slow as a gemm at these sizes.
+    about twice as slow as a gemm at these sizes.  The cumulative sums call
+    np.add.accumulate, the ufunc behind np.cumsum, without the dispatch that
+    costs np.cumsum more than the sum itself here.
     """
     n, m = stats.n, len(batch)
     ext = np.concatenate((stats.history, batch.u, batch.y))
     x = ext[_window(n, m)]
     gram = x.T.copy() @ x
     gram += stats.gram
-    psi = np.cumsum(x[:, :n], axis=1)
+    psi = np.add.accumulate(x[:, :n], axis=1)
     c = psi.T.copy() @ psi
     c += stats.C
     return SufficientStats(
         n=n,
         gram=gram,
         C=c,
-        cum_y=np.cumsum(gram[:n, n]),
+        cum_y=np.add.accumulate(gram[:n, n]),
         nbar=stats.nbar + m,
         history=ext[m: m + n - 1],
     )

@@ -5,6 +5,7 @@ N x N matrices, numpy.linalg) so a bug in the package cannot hide in a
 shared code path.
 """
 
+import mpmath
 import numpy as np
 from scipy.signal import firwin, lfilter
 
@@ -132,6 +133,97 @@ def dense_root_moment(ctx, eta):
     """diag(U^-1 (P + h h') U^-T) from dense_posterior's mean h and covariance P."""
     mean, cov = dense_posterior(ctx, eta)
     return root_diagonal(cov + np.outer(mean, mean))
+
+
+def block_weight_derivative(n, beta):
+    """d/dbeta of kernel.tc_block_weights by the block decomposition of beta**max(i, j).
+
+    Any matrix a[max(i, j)] splits into sum_m (a_m - a_{m+1}) B_m + a_n B_n,
+    B_m the leading m-by-m block of ones; here a_m = m * beta**(m - 1).
+    """
+    m = np.arange(1, n + 1, dtype=float)
+    a = m * beta ** (m - 1.0)
+    return np.append(a[:-1] - a[1:], a[-1])
+
+
+def block_basis_split(ctx, f):
+    """Sign-split gradient (V, U) at the factor f, assembled over the blocks B_m.
+
+    The derivative kernel dK/dbeta = lam sum_m c'_m B_m has weights of either
+    sign (block_weight_derivative).  Each block contributes the trace
+    Tr(Sigma^-1 Phi B_m Phi') = (C_mm - ||G e_m||^2) / sigma2, G = S^-1 diag(d) C,
+    and the quadratic q_m^2, q = U' Phi' Sigma^-1 y = (U' ytilde - C (d * S^-T t)) / sigma2,
+    routed to V or U by the weight's sign.  The lam components are
+    (n - sigma2 ||S^-1||_F^2) / lam and ||d * q||^2 / lam.  f.eta must be
+    interior.  Both subtractions lose digits at high SNR, which is why the
+    package reads the same numbers in the root basis instead.
+    """
+    stats, s2 = ctx.stats, ctx.sigma2
+    lam, beta = f.eta.lam, f.eta.beta
+    sinv = np.linalg.inv(f.s)
+    z = f.d * np.linalg.solve(f.s.T, f.t)
+    q = (stats.cum_y - stats.C @ z) / s2
+    v_lam = max(stats.n - s2 * float(np.sum(sinv * sinv)), 0.0) / lam
+    u_lam = float(np.sum((f.d * q) ** 2)) / lam
+    g = sinv @ (f.d[:, None] * stats.C)
+    tv = np.maximum(np.diag(stats.C) - np.sum(g * g, axis=0), 0.0)
+    c = block_weight_derivative(stats.n, beta)
+    pos, neg = np.maximum(c, 0.0), np.maximum(-c, 0.0)
+    v_beta = lam * (float(pos @ tv) / s2 + float(neg @ (q * q)))
+    u_beta = lam * (float(neg @ tv) / s2 + float(pos @ (q * q)))
+    return (v_lam, v_beta), (u_lam, u_beta)
+
+
+def extended_precision_evaluation(ctx, lam, beta, dps=40):
+    """(value, gradient, mean, Z) at (lam, beta), in mpmath at dps digits, as floats.
+
+    The compressed likelihood of the likelihood module's docstring, evaluated
+    on the statistics the package reads -- stats.C, stats.cum_y, ybar, nbar
+    and sigma2, each converted exactly from its double -- so what differs
+    from the package is the package's own rounding, not the statistics'
+    (the stored C and the U'RU of the stored R differ by about 1e-15
+    relative).  With A = sigma2 I + (d d') * C and x = A^-1 (d * cum_y):
+    value (nbar - n) log sigma2 + log det A + (ybar - (d * cum_y)' x) / sigma2,
+    gradient by mpmath.diff of that value in lam and in beta, posterior mean
+    U (d * x), and Z = sigma2 d^2 * diag(A^-1) + (d * x)^2.  (lam, beta) must
+    be interior.
+    """
+    n = ctx.stats.n
+    with mpmath.workdps(dps):
+        cmat = mpmath.matrix(ctx.stats.C.tolist())
+        cum_y = [mpmath.mpf(v) for v in ctx.stats.cum_y]
+        s2, ybar = mpmath.mpf(ctx.sigma2), mpmath.mpf(ctx.stats.ybar)
+
+        def inner(lm, bt):
+            c = [bt**m * (1 - bt) for m in range(1, n)] + [bt**n]
+            d = [mpmath.sqrt(lm * cm) for cm in c]
+            a = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    a[i, j] = d[i] * cmat[i, j] * d[j]
+                a[i, i] += s2
+            return a, d, mpmath.matrix([di * yi for di, yi in zip(d, cum_y)])
+
+        def value(lm, bt):
+            a, _, b = inner(lm, bt)
+            s = mpmath.cholesky(a)
+            logdet = 2 * mpmath.fsum(mpmath.log(s[i, i]) for i in range(n))
+            quad = (b.T * mpmath.lu_solve(a, b))[0]
+            return (ctx.stats.nbar - n) * mpmath.log(s2) + logdet + (ybar - quad) / s2
+
+        lm, bt = mpmath.mpf(lam), mpmath.mpf(beta)
+        grad = [mpmath.diff(value, (lm, bt), order) for order in ((1, 0), (0, 1))]
+        a, d, b = inner(lm, bt)
+        ainv = mpmath.inverse(a)
+        root = [d[i] * (ainv * b)[i] for i in range(n)]
+        mean = [mpmath.fsum(root[i:]) for i in range(n)]
+        z = [s2 * d[i] ** 2 * ainv[i, i] + root[i] ** 2 for i in range(n)]
+        return (
+            float(value(lm, bt)),
+            np.array([float(g) for g in grad]),
+            np.array([float(h) for h in mean]),
+            np.array([float(zi) for zi in z]),
+        )
 
 
 def impulse_from_transfer(b, a, n):

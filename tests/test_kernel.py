@@ -1,10 +1,10 @@
-"""Closed-form TC kernel structure: root weights, beta-derivative, and the
+"""Closed-form TC kernel structure: root weights, their beta log-derivative, and the
 tridiagonal-inverse reference that the EM tests compare against."""
 
 import numpy as np
 import pytest
 
-from bayesfir.kernel import Hyperparameters, dbeta_block_weights, tc_block_weights
+from bayesfir.kernel import Hyperparameters, dlog_root_weights, tc_block_weights
 from bayesfir.likelihood import _factorize, _value
 
 from oracles import (
@@ -95,34 +95,44 @@ def test_scale_linearity_is_exact():
         np.testing.assert_allclose(root(9, 4.75, beta), np.sqrt(4.75) * unit, rtol=1e-15)
 
 
+def dbeta(n, beta):
+    """d/dbeta of tc_block_weights as the gradient reads it: c' = 2 g c."""
+    return 2.0 * dlog_root_weights(n, beta) * tc_block_weights(n, beta)
+
+
 def test_dbeta_hand_computed():
-    np.testing.assert_array_equal(dbeta_block_weights(2, 0.5), [0.0, 1.0])
-    np.testing.assert_array_equal(block_sum(dbeta_block_weights(2, 0.5)), np.ones((2, 2)))
-    np.testing.assert_array_equal(dbeta_block_weights(1, 1.0), [1.0])
-    # right-limit at beta = 0: only the (1, 1) entry survives
-    np.testing.assert_array_equal(
-        block_sum(dbeta_block_weights(2, 0.0)), np.array([[1.0, 0.0], [0.0, 0.0]])
-    )
+    # c(2, 1/2) = (1/4, 1/4): g_1 = (1/beta - 1/(1 - beta)) / 2 = 0, g_2 = 2 / (2 beta) = 2
+    np.testing.assert_array_equal(dlog_root_weights(2, 0.5), [0.0, 2.0])
+    np.testing.assert_array_equal(dbeta(2, 0.5), [0.0, 1.0])
+    np.testing.assert_array_equal(block_sum(dbeta(2, 0.5)), np.ones((2, 2)))
+    np.testing.assert_array_equal(dlog_root_weights(3, 0.25), [2.0 - 2.0 / 3.0, 4.0 - 2.0 / 3.0, 6.0])
+    # one tap is beta itself: d log sqrt(beta) / d beta = 1 / (2 beta)
+    np.testing.assert_array_equal(dbeta(1, 0.5), [1.0])
 
 
 def test_dbeta_matches_finite_differences():
+    # the block sum of c' is d/dbeta beta**max(i, j) = max(i, j) beta**(max(i, j) - 1)
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 9))
         beta = float(rng.uniform(0.1, 0.9))
         fd = central_diff(lambda b: dense_tc_kernel(n, 1.0, b), beta, 1e-6)
-        np.testing.assert_allclose(block_sum(dbeta_block_weights(n, beta)), fd, rtol=1e-6, atol=1e-7)
-
-
-def test_dbeta_block_weights_reconstruct_derivative():
-    # the derivative weights are the beta-derivative of the root weights, and
-    # their suffix sums recover d/dbeta beta**max(i, j) = max(i, j) beta**(max(i, j) - 1)
-    for n, beta in [(1, 0.5), (3, 0.2), (8, 0.9)]:
-        c = dbeta_block_weights(n, beta)
-        fd = central_diff(lambda b: tc_block_weights(n, b), beta, 1e-6)
-        np.testing.assert_allclose(c, fd, rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(block_sum(dbeta(n, beta)), fd, rtol=1e-6, atol=1e-7)
         m = np.maximum.outer(np.arange(1, n + 1), np.arange(1, n + 1))
-        np.testing.assert_allclose(block_sum(c), m * beta ** (m - 1.0), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(block_sum(dbeta(n, beta)), m * beta ** (m - 1.0), rtol=1e-12, atol=1e-15)
+
+
+def test_dlog_root_weights_match_central_differences():
+    # 2 g c against a central difference of the root weights themselves,
+    # across the decay range and at both ends of it; g stays finite where
+    # c underflows (beta = 1e-6 from m = 54)
+    for n, beta in [(1, 0.5), (3, 0.2), (8, 0.9), (40, 0.999), (80, 0.5), (80, 1e-3)]:
+        h = 1e-6 * min(beta, 1.0 - beta)
+        fd = central_diff(lambda b: tc_block_weights(n, b), beta, h)
+        np.testing.assert_allclose(dbeta(n, beta), fd, rtol=1e-7, atol=1e-9 * np.max(np.abs(fd)))
+    g = dlog_root_weights(200, 1e-6)
+    assert np.all(np.isfinite(g)) and g[-1] == 1e8
+    assert np.all(np.diff(g) > 0.0)  # one sign change: V and U split at a single tap
 
 
 def test_psd_sqrt_factor_reconstructs():
