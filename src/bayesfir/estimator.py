@@ -76,9 +76,9 @@ class OnlineEstimator:
     update (a gradient step, an EM step, or the last iteration of a full
     re-optimization) hands back the factor at its new eta, so the mean
     costs no further factorization.  A lam-only gradient re-optimization
-    (``opt`` mode) steps on one eigendecomposition of the frozen-beta inner
-    matrix instead and factors only its result; em1 and em2 in ``opt`` mode
-    factor every iteration.
+    (``opt`` mode) seeds and steps on one eigendecomposition of the
+    frozen-beta inner matrix instead and factors only its result; em1 and
+    em2 in ``opt`` mode factor every iteration.
 
     Parameters
     ----------

@@ -39,7 +39,8 @@ b = Q' (d0 * cum_y); then at any lam, with delta = sigma2 + lam mu,
 
 each O(n) and free of subtraction.  One eigendecomposition costs some 28
 Cholesky factorizations at n = 80, so it pays only where many lam are
-visited at one beta: a lam-only run of ``optim.opt_until_convergence``.
+visited at one beta: a lam-only run of ``optim.opt_until_convergence``,
+whose secant seed, steps and line searches all read it.
 
 There is one factorization per (batch, eta): ``_factorize`` builds S and t,
 together with log det S S' and ||t||^2, and the value (O(1) from those two
@@ -194,8 +195,8 @@ def _checked(eta: Hyperparameters, parts: tuple) -> tuple:
 def _lambda_split(ctx: MLContext, f: _Factors) -> tuple:
     """(V_lam, U_lam) at an interior f.eta: _split's lam components alone.
 
-    The frozen-beta gradient on a Cholesky factor, for one-step batches and
-    the fresh_state seed; a lam-only opt run reads _FrozenBeta.lambda_split.
+    The frozen-beta gradient on a Cholesky factor, for one-step batches; a
+    lam-only opt run, its seed included, reads _FrozenBeta.lambda_split.
     """
     return _checked(f.eta, _root_terms(ctx, f)[2:])
 
@@ -325,10 +326,4 @@ class _FrozenBeta:
 
     def lambda_split(self, f: _Spectral) -> tuple:
         """(V_lam, U_lam) at f.eta, as _lambda_split: V_lam = sum mu / delta, U_lam = ||w||^2."""
-        v_lam = float(self.mu @ f.inv)
-        u_lam = float(f.w @ f.w)
-        if not (math.isfinite(v_lam) and math.isfinite(u_lam)):
-            raise NonFiniteLikelihoodError(
-                f"non-finite gradient at eta=({f.eta.lam!r}, {f.eta.beta!r})"
-            )
-        return v_lam, u_lam
+        return _checked(f.eta, (float(self.mu @ f.inv), float(f.w @ f.w)))

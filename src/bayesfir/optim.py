@@ -211,14 +211,21 @@ def bfgs_update(b_prev, r, w) -> tuple:
     return tuple(tuple(0.5 * (b[i][j] + b[j][i]) for j in dim) for i in dim)
 
 
-def _grad_at(ctx: MLContext, eta: Hyperparameters, active: tuple):
-    """(grad, V, factor) on the active coordinates, at the interior-clamped eta."""
-    f = likelihood._factorize(ctx, _interior(eta))
-    if active == (0,):
-        v_lam, u_lam = _lambda_split(ctx, f)
-        return (v_lam - u_lam,), (v_lam,), f
-    (v_lam, v_beta), (u_lam, u_beta) = _split(ctx, f)
-    return (v_lam - u_lam, v_beta - u_beta), (v_lam, v_beta), f
+def _grad_at(
+    ctx: MLContext, eta: Hyperparameters, active: tuple, frozen: likelihood._FrozenBeta = None
+):
+    """(grad, V, evaluation) on the active coordinates.
+
+    The evaluation is the factor at the interior-clamped eta, or with
+    ``frozen`` (lam only) that eigendecomposition's evaluation at eta itself.
+    """
+    if frozen is not None:
+        f = frozen.at(eta)
+        v, u = zip(frozen.lambda_split(f))  # ((V_lam,), (U_lam,))
+    else:
+        f = likelihood._factorize(ctx, _interior(eta))
+        v, u = zip(_lambda_split(ctx, f)) if active == (0,) else _split(ctx, f)
+    return tuple(map(operator.sub, v, u)), v, f
 
 
 def gradient_step(
@@ -237,9 +244,9 @@ def gradient_step(
     line-search candidate once; the report carries the factor at eta_new.
 
     With ``frozen`` (a lam-only state at frozen.beta) the values and the
-    lam-gradient are read from its eigendecomposition instead, O(n) each,
-    the gradient at eta itself (likelihood._FrozenBeta), and the report
-    carries that evaluation at eta_new in place of a factor.
+    lam-gradient are read from its eigendecomposition instead, O(n) each
+    (_grad_at), and the report carries that evaluation at eta_new in place
+    of a factor.
     """
     if method not in GRADIENT_METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
@@ -247,14 +254,8 @@ def gradient_step(
     active = state.active
     lam, beta = here = (eta.lam, eta.beta)
 
-    if frozen is None:
-        evaluate = functools.partial(likelihood._factorize, ctx)
-        grad, v, f = _grad_at(ctx, eta, active)
-    else:
-        evaluate = frozen.at
-        f = evaluate(eta)
-        v_lam, u_lam = frozen.lambda_split(f)
-        grad, v = (v_lam - u_lam,), (v_lam,)
+    evaluate = functools.partial(likelihood._factorize, ctx) if frozen is None else frozen.at
+    grad, v, f = _grad_at(ctx, eta, active, frozen)
     r, w = secant_pair(state, here, grad)
     tau_new = state.tau
     b_new = state.b_prev
@@ -500,19 +501,19 @@ def em_step(ctx: MLContext, eta: Hyperparameters, method: str) -> StepReport:
 
 
 def fresh_state(
-    ctx: MLContext,
-    eta: Hyperparameters,
-    *,
-    lambda_only: bool = False,
+    ctx: MLContext, eta: Hyperparameters, frozen: likelihood._FrozenBeta = None
 ) -> OptimizerState:
     """Optimizer state with a usable secant seed.
 
     The seed is eta scaled by (1 + 1e-3) componentwise (clamped to the box),
-    whose gradient is evaluated on the current context.
+    whose gradient is evaluated on the current context.  With ``frozen`` (a
+    likelihood._FrozenBeta at eta.beta) the state is lam-only, and the seed
+    scales lam alone and is read off that eigendecomposition (_grad_at).
     """
-    active = (0,) if lambda_only else (0, 1)
-    eta_prev = _clamp_box(eta.lam * (1.0 + 1e-3), eta.beta * (1.0 + 1e-3))
-    grad_prev, _, _ = _grad_at(ctx, Hyperparameters(*eta_prev), active)
+    active = (0, 1) if frozen is None else (0,)
+    beta = eta.beta * (1.0 + 1e-3) if frozen is None else eta.beta
+    eta_prev = _clamp_box(eta.lam * (1.0 + 1e-3), beta)
+    grad_prev, _, _ = _grad_at(ctx, Hyperparameters(*eta_prev), active, frozen)
     return OptimizerState(
         eta_prev=eta_prev,
         grad_prev=grad_prev,
@@ -545,14 +546,12 @@ def opt_until_convergence(
     mean and whose state (None for EM) holds a secant seed in its
     eta_prev/grad_prev, with the iteration count.
 
-    A lam-only run of a gradient method visits many lam at one beta, so
-    every iteration reads the likelihood from one likelihood._FrozenBeta
-    eigendecomposition, and the result alone is factored by _factorize,
-    which gives the report its factor and its ml_after (ml_before stays the
-    eigendecomposition's value).  The fresh_state seed keeps the Cholesky
-    path: its gradient is taken at beta * (1 + 1e-3), not at the frozen
-    beta, so the eigendecomposition cannot serve it.  EM runs, em1 and em2
-    included, factor every iteration as one-step batches do.
+    A lam-only run of a gradient method visits many lam at one beta, so its
+    fresh_state seed and every iteration read the likelihood from one
+    likelihood._FrozenBeta eigendecomposition, and the result alone is
+    factored by _factorize, which gives the report its factor and its
+    ml_after (ml_before stays the eigendecomposition's value).  EM runs, em1
+    and em2 included, factor every iteration as one-step batches do.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -562,9 +561,9 @@ def opt_until_convergence(
     eta = eta0
     state = frozen = None
     if method in GRADIENT_METHODS:
-        state = fresh_state(ctx, eta0, lambda_only=lambda_only)
         if lambda_only:
             frozen = likelihood._FrozenBeta(ctx, eta0.beta)
+        state = fresh_state(ctx, eta0, frozen)
     iterations = 0
     for _ in range(cfg.opt_max_iter):
         rep = step(ctx, state, eta, method, cfg, frozen)

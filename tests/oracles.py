@@ -14,7 +14,7 @@ from bayesfir.estimator import BETA0, OnlineEstimator
 from bayesfir.kernel import Hyperparameters
 from bayesfir.likelihood import MLContext
 from bayesfir.optim import TAU0, OptimizerState, opt_until_convergence
-from bayesfir.simgen import fit
+from bayesfir.simgen import bandlimited_input, fit, random_system, simulate_io
 from bayesfir.stats import Batch, SufficientStats, ingest, noise_variance
 
 
@@ -294,6 +294,20 @@ def random_instance(rng, n, nbar, snr=10.0):
     stats = ingest(SufficientStats.empty(n), Batch(u, y))
     sigma2 = dense_least_squares(u, y, n)[1] / (nbar - n)
     return MLContext(stats, sigma2), u, y
+
+
+def stream_context(k, n, n_samples, snr):
+    """Statistics and noise variance of the benchmark protocol's stream (3, k).
+
+    A random system, band-limited input and output noise at the SNR, drawn
+    from SeedSequence((3, k)) in simgen's order.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((3, k)))
+    system = random_system(rng, n)
+    u = bandlimited_input(rng, n_samples)
+    y = simulate_io(system, u, snr, rng)
+    stats = ingest(SufficientStats.empty(n), Batch(u, y))
+    return MLContext(stats, noise_variance(stats))
 
 
 def random_eta(rng, lam_scale=1.0):

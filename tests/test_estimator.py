@@ -250,8 +250,8 @@ def test_one_factorization_per_batch_and_eta(monkeypatch):
     # once (value and gradient alike; a boundary eta once more for the value)
     # plus each line-search candidate once; EM factors the old eta for the
     # second moment and the new one for the mean; opt mode pays the
-    # fresh_state seed plus its steps, and a lam-only opt run the seed and
-    # its result alone, its steps reading the frozen-beta eigendecomposition.
+    # fresh_state seed plus its steps, and a lam-only opt run its result
+    # alone, its seed and steps reading the frozen-beta eigendecomposition.
     # Every updater hands back the factor at its new eta, so the mean costs
     # nothing more.
     factored = []
@@ -299,8 +299,10 @@ def test_one_factorization_per_batch_and_eta(monkeypatch):
             factored.clear()
             steps.clear()
             snap = est.process_batch(u[start:start + nk], y[start:start + nk])
-            if method.startswith("em") or (mode, lambda_only) == ("opt", True):
+            if method.startswith("em"):
                 want = 2
+            elif (mode, lambda_only) == ("opt", True):
+                want = 1
             else:
                 want = (mode == "opt") + sum(step_cost(eta, rep) for eta, rep in steps)
             assert len(factored) == want, (method, lambda_only, mode, snap.batch_index, len(factored), want)
@@ -381,8 +383,9 @@ def test_lapack_calls_per_batch(monkeypatch):
     # accepted one once (one more to value a boundary eta); an EM batch
     # factors the old and the new eta, or the old one only when it holds;
     # dtrtri runs at most once, never for em1; no one-step batch calls
-    # dsyevd.  A lam-only opt batch factors its fresh_state seed (the one
-    # dtrtri) and its result, and eigendecomposes once for every step between
+    # dsyevd.  A lam-only opt batch eigendecomposes once for its
+    # fresh_state seed and every step, and factors its result alone: one
+    # dpotrf, no dtrtri
     in_stats = _CountingLapack(stats.lapack)
     in_likelihood = _CountingLapack(likelihood.lapack)
     monkeypatch.setattr(stats, "lapack", in_stats)
@@ -423,11 +426,11 @@ def test_lapack_calls_per_batch(monkeypatch):
             ridge = 0 < in_stats.dpotrf_info[0] <= n
             assert len(in_stats.dpotrf_info) == 1 + ridge, where
             assert in_stats.dtrtri_calls == in_stats.dsyevd_calls == 0, where
-            assert in_likelihood.dtrtri_calls == (0 if method == "em1" else 1), where
+            assert in_likelihood.dtrtri_calls == (0 if method == "em1" or mode == "opt" else 1), where
             assert in_likelihood.dsyevd_calls == (mode == "opt"), where
             if mode == "opt":
                 assert len(reports) >= 1, where
-                assert len(in_likelihood.dpotrf_info) == 2, where
+                assert len(in_likelihood.dpotrf_info) == 1, where
                 continue
             (eta, rep), = reports
             if method.startswith("em"):

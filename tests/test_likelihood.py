@@ -164,7 +164,10 @@ def test_root_basis_matches_an_extended_precision_oracle():
     # gradient component 6.9e-11 of its own size, mean 5.2e-11 of max |h|,
     # Z 3.8e-11 of max Z.  The block-basis split this replaced was 2.8e-3
     # off in the beta component at SNR 1e6 and beta = 0.9, n = 20, and 3.6e-3
-    # at beta = 0.99.
+    # at beta = 0.99.  _FrozenBeta's value and lam-gradient, which the
+    # lam-only re-optimization reads, are looser: worst 6.8e-12 of the
+    # terms' size and 9.1e-9 of |dL/dlam|, both at n = 20, SNR 1e6 and
+    # beta = 0.999, where mu_min / mu_max = 8.9e-10.
     for n in (10, 20):
         for snr in (5.0, 1e6):
             ctx, lam = oracle_stream(n, snr)
@@ -179,6 +182,11 @@ def test_root_basis_matches_an_extended_precision_oracle():
                 assert np.all(np.abs(np.subtract(v, u) - grad) <= 1e-9 * np.abs(grad)), case
                 assert np.max(np.abs(_mean(f) - mean)) <= 5e-10 * np.max(np.abs(mean)), case
                 assert np.max(np.abs(_root_moment(ctx, f) - z)) <= 5e-10 * np.max(z), case
+                frozen = _FrozenBeta(ctx, beta)
+                g = frozen.at(f.eta)
+                assert abs(_value(ctx, g) - value) <= 5e-11 * size, case
+                v, u = frozen.lambda_split(g)
+                assert abs(v - u - grad[0]) <= 1e-7 * abs(grad[0]), case
 
 
 @pytest.mark.parametrize(
@@ -287,9 +295,10 @@ def test_gradient_step_skips_overflowing_candidates():
     cfg = OptimizerConfig(alpha_min=alpha, alpha_max=alpha)
     with pytest.raises(NonFiniteLikelihoodError):
         value_at(ctx, Hyperparameters(eta0.lam - alpha * grad, eta0.beta))
-    state = fresh_state(ctx, eta0, lambda_only=True)
+    eigen = _FrozenBeta(ctx, eta0.beta)
+    state = fresh_state(ctx, eta0, eigen)
     # the same on the Cholesky factor and on the frozen-beta eigendecomposition
-    for frozen in (None, _FrozenBeta(ctx, eta0.beta)):
+    for frozen in (None, eigen):
         rep = gradient_step(ctx, state, eta0, "bb", cfg, frozen)
         assert rep.backtracks >= 1
         assert np.isfinite(rep.ml_before) and np.isfinite(rep.ml_after)
